@@ -154,6 +154,21 @@ inline void chunk_concat(const std::uint64_t* even, const std::uint64_t* odd,
   }
 }
 
+/// True when every one of the first `pairs` switch pairs holds one 0 and
+/// one 1: bit t of `e` (the pair's even input) differs from bit t of `o`
+/// (its odd input) for all t < pairs.  Word-parallel with no early exit;
+/// bits at positions >= pairs are ignored.
+[[nodiscard]] inline bool pairs_split(const std::uint64_t* e, const std::uint64_t* o,
+                                      std::size_t pairs) noexcept {
+  std::uint64_t same = 0;  // a set bit marks a pair holding two equal bits
+  const std::size_t full = pairs / 64;
+  for (std::size_t w = 0; w < full; ++w) same |= ~(e[w] ^ o[w]);
+  if (const std::size_t rest = pairs % 64; rest != 0) {
+    same |= ~(e[full] ^ o[full]) & ((std::uint64_t{1} << rest) - 1);
+  }
+  return same == 0;
+}
+
 /// Read packed bit `idx`.
 [[nodiscard]] inline unsigned get_bit(const std::uint64_t* words, std::size_t idx) noexcept {
   return static_cast<unsigned>((words[idx >> 6] >> (idx & 63)) & 1U);

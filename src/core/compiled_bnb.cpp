@@ -21,7 +21,8 @@ namespace bnb {
 
 namespace {
 
-// Work-buffer layout for column_controls: even/odd halves, the arbiter's up
+// Work-buffer layout for column_controls: even/odd halves (the switch
+// inputs, read back by the clean path's per-BSN check), the arbiter's up
 // and down level stacks (each level rounds up to whole words, hence the
 // +32-word slack for up to 25 levels), and two down-pass temporaries.
 constexpr std::size_t kLevelSlack = 32;
@@ -189,6 +190,11 @@ CompiledBnb::CompiledBnb(unsigned m, const kernels::KernelSet* kernels)
       } else {
         group = 2;  // network output column: bare exchange
       }
+      // The clean path's delivery proof: once BSN(i-1, *) has split its
+      // address bit across its block, every column of main stage i must
+      // permute lines only inside blocks of 2^k lines, or it could move a
+      // word across the boundary that bit was sorted against.
+      BNB_ENSURES(group <= (std::uint32_t{1} << k));
       columns_.push_back(Column{i, j, p, group, update});
     }
   }
@@ -327,8 +333,7 @@ void CompiledBnb::column_controls(std::size_t column, std::uint64_t* bits,
 }
 
 const std::uint64_t* CompiledBnb::route_lines(RouteScratch& s, ControlTrace* trace,
-                                              const EngineFaults* faults,
-                                              ControlSchedule* capture) const {
+                                              const EngineFaults* faults) const {
   const std::size_t n = inputs();
   const std::size_t words = bitpack::words_for(n);
   const std::uint64_t poison = dead_crosspoint_poison(n);
@@ -355,11 +360,7 @@ const std::uint64_t* CompiledBnb::route_lines(RouteScratch& s, ControlTrace* tra
       const Column& col = columns_[col_idx];
       const ColumnFaultMasks* fcol =
           faults != nullptr ? faults->column(col_idx) : nullptr;
-      // A capturing route decides each column straight into the schedule's
-      // slot — the capture costs no extra pass over the controls.
-      std::uint64_t* ctl = capture != nullptr
-                               ? capture->ctl_.data() + col_idx * capture->control_words_
-                               : s.ctl_.data();
+      std::uint64_t* ctl = s.ctl_.data();
       column_controls(col_idx, s.bits_.data(), ctl, s.work_.data(), fcol);
       if (trace != nullptr) {
         trace->column_controls.emplace_back(
@@ -379,8 +380,7 @@ const std::uint64_t* CompiledBnb::route_lines(RouteScratch& s, ControlTrace* tra
 }
 
 const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* trace,
-                                               const EngineFaults* faults,
-                                               ControlSchedule* capture) const {
+                                               const EngineFaults* faults) const {
   const std::size_t n = inputs();
   const std::size_t W = s.words_;
   const unsigned q = 2 * m_;  // m address slices, then m input-index slices
@@ -418,9 +418,7 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
       const Column& col = columns_[col_idx];
       const ColumnFaultMasks* fcol =
           faults != nullptr ? faults->column(col_idx) : nullptr;
-      std::uint64_t* ctl = capture != nullptr
-                               ? capture->ctl_.data() + col_idx * capture->control_words_
-                               : s.ctl_.data();
+      std::uint64_t* ctl = s.ctl_.data();
       column_controls(col_idx, s.bits_.data(), ctl, s.work_.data(), fcol);
       if (trace != nullptr) {
         trace->column_controls.emplace_back(
@@ -463,8 +461,7 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
 
 CompiledBnb::Output CompiledBnb::route_impl(RouteScratch& s, ControlTrace* trace,
                                             std::span<const Word> payload_source,
-                                            const EngineFaults* faults,
-                                            ControlSchedule* capture) const {
+                                            const EngineFaults* faults) const {
   const std::size_t n = inputs();
   BNB_EXPECTS(s.prepared_for(*this));
   if (faults != nullptr && !faults->empty()) {
@@ -474,18 +471,9 @@ CompiledBnb::Output CompiledBnb::route_impl(RouteScratch& s, ControlTrace* trace
     trace->column_controls.clear();
     trace->column_controls.reserve(columns_.size());
   }
-  if (capture != nullptr) {
-    BNB_EXPECTS(capture->prepared_for(*this));
-    // A schedule must describe the CLEAN fabric: replaying it bypasses the
-    // per-column fault hooks, so capturing faulty controls would let fault
-    // semantics be served from a schedule (or a cache) later.
-    BNB_EXPECTS(faults == nullptr || faults->empty());
-    capture->solved_ = false;
-  }
 
-  const std::uint64_t* state = ks_->wide_datapath
-                                   ? route_sliced(s, trace, faults, capture)
-                                   : route_lines(s, trace, faults, capture);
+  const std::uint64_t* state = ks_->wide_datapath ? route_sliced(s, trace, faults)
+                                                  : route_lines(s, trace, faults);
 
   bool self_routed = true;
   const bool payload_is_input_index = payload_source.empty();
@@ -499,13 +487,82 @@ CompiledBnb::Output CompiledBnb::route_impl(RouteScratch& s, ControlTrace* trace
                                              : payload_source[input].payload};
     self_routed &= (address == line);
   }
-  if (capture != nullptr) {
-    // The composed effect of the captured settings, read off the delivered
-    // state: input j landed on line dest_[j].
-    std::copy(s.dest_.begin(), s.dest_.end(), capture->line_of_input_.begin());
-    capture->solved_ = true;
-  }
   return Output{{s.outputs_.data(), n}, {s.dest_.data(), n}, self_routed};
+}
+
+void CompiledBnb::solve_controls(const Permutation& pi, RouteScratch& s,
+                                 ControlSchedule& schedule) const {
+  const std::size_t n = inputs();
+  const std::size_t W = s.words_;
+  const std::size_t pairs = n / 2;
+  const std::size_t half_words = bitpack::words_for(pairs);
+  const std::uint32_t* image = pi.image().data();
+  std::uint64_t* sl = s.slices_.data();
+  std::uint64_t* sp = s.spare_slices_.data();
+  std::uint64_t* tmp = s.slice_tmp_.data();
+  schedule.prepare(*this);  // also re-shapes a slot a cache copy-out resized
+
+  // Pack the m address slices straight from pi: one 64x64 transpose per
+  // block of 64 lines, row a of the transposed block is address bit a of
+  // those lines.  Lines past n stay zero (zero tails).
+  std::uint64_t blk[64];
+  for (std::size_t b = 0; b < W; ++b) {
+    const std::size_t lines = std::min<std::size_t>(64, n - 64 * b);
+    for (std::size_t j = 0; j < lines; ++j) blk[j] = image[64 * b + j];
+    for (std::size_t j = lines; j < 64; ++j) blk[j] = 0;
+    bitpack::transpose_64x64(blk);
+    for (unsigned a = 0; a < m_; ++a) sl[a * W + b] = blk[a];
+  }
+
+  std::size_t col_idx = 0;
+  for (unsigned stage = 0; stage < m_; ++stage) {
+    // The stage sorts integer bit m-1-stage.  No later stage reads that
+    // slice, so the arbiter advances it in place, and only the slices
+    // below it (the bits later stages sort) follow the switches.
+    const unsigned addr_bit = m_ - 1 - stage;
+    std::uint64_t* bits = sl + addr_bit * W;
+    const unsigned k = m_ - stage;
+    for (unsigned j = 0; j < k; ++j, ++col_idx) {
+      std::uint64_t* ctl = schedule.ctl_.data() + col_idx * schedule.control_words_;
+      column_controls(col_idx, bits, ctl, s.work_.data());
+      const std::size_t chunk = columns_[col_idx].group / 2;
+      for (unsigned slice = 0; slice < addr_bit; ++slice) {
+        ks_->slice_pass(sl + slice * W, n, ctl, chunk, tmp, sp + slice * W);
+      }
+      std::swap(sl, sp);
+    }
+    // The BSN's last column is sp(1), whose switch inputs column_controls
+    // left at the front of the work buffer.  Every pair must hold one 0
+    // and one 1: the switch then sends the 0 to the even output, the main
+    // unshuffle sorts the block by this bit, and later columns stay inside
+    // blocks of 2^addr_bit lines (constructor check) — so bit addr_bit of
+    // the word on line l is bit addr_bit of l.
+    const std::uint64_t* e = s.work_.data();
+    BNB_ENSURES(bitpack::pairs_split(e, e + half_words, pairs));
+  }
+  // All m bits of every line's address equal the line number: input j,
+  // the only word addressed pi(j), sits on line pi(j).
+  std::copy(image, image + n, schedule.line_of_input_.begin());
+  schedule.solved_ = true;
+}
+
+CompiledBnb::Output CompiledBnb::deliver(const std::uint32_t* line_of,
+                                         const Permutation& pi,
+                                         RouteScratch& scratch) const {
+  // Input j's word (address pi(j), payload j) appears on line line_of[j].
+  // Addresses travel with their words, so the delivered address on that
+  // line is pi(j) — exactly the value the fused datapath would have moved
+  // there bit for bit.
+  const std::size_t n = inputs();
+  bool self_routed = true;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::uint32_t line = line_of[j];
+    const std::uint32_t address = pi(j);
+    scratch.dest_[j] = line;
+    scratch.outputs_[line] = Word{address, std::uint64_t{j}};
+    self_routed &= (address == line);
+  }
+  return Output{{scratch.outputs_.data(), n}, {scratch.dest_.data(), n}, self_routed};
 }
 
 CompiledBnb::Output CompiledBnb::route(const Permutation& pi, RouteScratch& scratch,
@@ -516,18 +573,16 @@ CompiledBnb::Output CompiledBnb::route(const Permutation& pi, RouteScratch& scra
   const std::size_t n = inputs();
   BNB_EXPECTS(pi.size() == n);
   scratch.prepare(*this);
+  if (trace == nullptr && (faults == nullptr || faults->empty())) {
+    // Clean: decide the switches into the scratch-owned schedule, then
+    // deliver what its per-BSN checks proved — input j on line pi(j).
+    solve_controls(pi, scratch, scratch.schedule_);
+    return deliver(scratch.schedule_.line_of_input_.data(), pi, scratch);
+  }
   // The Permutation invariant already guarantees the addresses are a
   // bijection — no O(N) validity re-check on this entry point.
   for (std::size_t j = 0; j < n; ++j) {
     scratch.state_[j] = (std::uint64_t{j} << 32) | pi(j);
-  }
-  if (trace == nullptr && (faults == nullptr || faults->empty())) {
-    // The clean hot path IS the solve/apply split: decide the switches into
-    // the scratch-owned schedule, then deliver from it.  route_impl already
-    // produced the delivered words while solving, so "apply" here is the
-    // mapping copy route_impl performs for the capture — output identical
-    // to the historic fused path by construction.
-    return route_impl(scratch, trace, {}, faults, &scratch.schedule_);
   }
   return route_impl(scratch, trace, {}, faults);
 }
@@ -535,38 +590,19 @@ CompiledBnb::Output CompiledBnb::route(const Permutation& pi, RouteScratch& scra
 void CompiledBnb::solve(const Permutation& pi, RouteScratch& scratch,
                         ControlSchedule& schedule) const {
   BNB_OBS_SPAN(obs_span, obs::Phase::kSolve);
-  const std::size_t n = inputs();
-  BNB_EXPECTS(pi.size() == n);
+  BNB_EXPECTS(pi.size() == inputs());
   scratch.prepare(*this);
-  schedule.prepare(*this);
-  for (std::size_t j = 0; j < n; ++j) {
-    scratch.state_[j] = (std::uint64_t{j} << 32) | pi(j);
-  }
-  (void)route_impl(scratch, nullptr, {}, nullptr, &schedule);
+  solve_controls(pi, scratch, schedule);
 }
 
 CompiledBnb::Output CompiledBnb::apply(const ControlSchedule& schedule,
                                        const Permutation& pi,
                                        RouteScratch& scratch) const {
   BNB_OBS_SPAN(obs_span, obs::Phase::kApply);
-  const std::size_t n = inputs();
-  BNB_EXPECTS(pi.size() == n);
+  BNB_EXPECTS(pi.size() == inputs());
   BNB_EXPECTS(schedule.prepared_for(*this) && schedule.solved());
   scratch.prepare(*this);
-  // Replay: input j's word (address pi(j), payload j) appears on the line
-  // the solved switch settings compose to.  Addresses travel with their
-  // words, so the delivered address on that line is pi(j) — exactly the
-  // value the fused datapath would have moved there bit for bit.
-  bool self_routed = true;
-  const std::uint32_t* line_of = schedule.line_of_input_.data();
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint32_t line = line_of[j];
-    const std::uint32_t address = pi(j);
-    scratch.dest_[j] = line;
-    scratch.outputs_[line] = Word{address, std::uint64_t{j}};
-    self_routed &= (address == line);
-  }
-  return Output{{scratch.outputs_.data(), n}, {scratch.dest_.data(), n}, self_routed};
+  return deliver(schedule.line_of_input_.data(), pi, scratch);
 }
 
 CompiledBnb::Output CompiledBnb::apply_words(const ControlSchedule& schedule,

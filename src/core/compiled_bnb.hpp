@@ -18,28 +18,38 @@
 // Every word-parallel pass above is reached through a kernels::KernelSet
 // (core/kernels/kernel_set.hpp): function pointers bound once at plan
 // construction to the best tier the host can execute (scalar, avx2, avx512,
-// neon; BNB_KERNELS overrides).  Tiers with wide_datapath move the payload
-// BIT-SLICED: instead of permuting N 64-bit state words per column, the
-// q = 2m address+index bit-slices are each moved as packed words by the
-// same fused exchange+unshuffle pass that already drives the address bits —
-// O(N * q / 64) masked word operations per column instead of O(N) word
-// moves, and the whole working set shrinks from 8N bytes to qN/8.
+// neon; BNB_KERNELS overrides).  On the fault/trace datapath, tiers with
+// wide_datapath move the payload BIT-SLICED: instead of permuting N 64-bit
+// state words per column, the q = 2m address+index bit-slices are each
+// moved as packed words by the same fused exchange+unshuffle pass
+// (slice_pass) that already drives the address bits — O(N * q / 64) masked
+// word operations per column instead of O(N) word moves, and the whole
+// working set shrinks from 8N bytes to qN/8.
 //
-// Controls/trace capture is opt-in (ControlTrace) and off the fast path:
-// plain route() computes only destinations and delivered words.
+// Controls/trace capture is opt-in (ControlTrace) and off the fast path.
 // route_batch() adds a multi-threaded sustained-throughput API on top: a
 // work-stealing pool of chunked workers with one scratch each drains a span
 // of permutations.  Results are bit-identical to BnbNetwork::route_words
 // (tests/test_engine.cpp proves it exhaustively for m <= 3), on every
 // kernel tier (tests/test_kernels.cpp).
 //
-// The control plane and the datapath are split: solve() runs the arbiter
-// trees once and materializes a ControlSchedule (every column's packed
-// controls plus their composed input->line mapping); apply() replays a
-// schedule against any payload in O(N) with no arbiter work.  route() is
-// exactly solve+apply on the clean path, so a repeated permutation served
-// from a ScheduleCache (core/schedule_cache.hpp) skips the entire control
-// solve; fault/trace routes take the fused path and never touch schedules.
+// The clean fabric has its own controls-only path, behind solve() and the
+// clean branch of route().  It packs just the m address slices straight
+// from pi (one transpose per 64-line block) and, in main stage s, moves
+// only the address slices later stages still sort: (m-1)m(m+1)/3 slice
+// passes per solve instead of the fused path's m^2(m+1) (910 vs 2940 at
+// m = 14).  Delivery is proven per route, not assumed: at every BSN's last
+// column sp(1) each switch pair must hold one 0 and one 1 of the stage's
+// address bit (bitpack::pairs_split), and every later column permutes
+// lines only inside blocks of at most 2^(m-1-s) lines (checked once at plan
+// construction), so bit s of the word on line l equals bit s of l.  Once
+// all m checks pass, the word with address pi(j) — input j's, pi being a
+// bijection — sits on line pi(j), and the path records exactly that; a
+// failed check throws contract_violation.  apply() replays the solved
+// ControlSchedule (controls plus that input->line map) in O(N) with no
+// arbiter work, so a repeated permutation served from a ScheduleCache
+// (core/schedule_cache.hpp) skips the solve entirely.  Fault and trace
+// routes keep the full word-moving datapath and never touch schedules.
 #pragma once
 
 #include <atomic>
@@ -67,12 +77,12 @@ class CompiledBnb;
 /// A solved control plane: the packed switch settings of every column of
 /// one plan for ONE permutation, plus the composed delivery mapping those
 /// settings induce.  This is the software analogue of a fabric whose
-/// switches are already set: solve() materializes it once (running the
-/// kernel datapath to both decide every arbiter and record where each
-/// input lands), and apply() replays it against any payload without
-/// touching an arbiter tree again.  Schedules are plain data — safe to
-/// share read-only across threads, cacheable (core/schedule_cache.hpp),
-/// and replayable column-by-column (StagedBnbRouter::step_replay).
+/// switches are already set: solve() materializes it once (deciding every
+/// arbiter and proving that input j lands on line pi(j)), and apply()
+/// replays it against any payload without touching an arbiter tree again.
+/// Schedules are plain data — safe to share read-only across threads,
+/// cacheable (core/schedule_cache.hpp), and replayable column-by-column
+/// (StagedBnbRouter::step_replay).
 class ControlSchedule {
  public:
   ControlSchedule() = default;
@@ -173,13 +183,14 @@ class RouteScratch {
   std::vector<std::uint64_t> bits_;    ///< packed current address bit per line
   std::vector<std::uint64_t> ctl_;     ///< packed controls of the current column
   std::vector<std::uint64_t> work_;    ///< arbiter up/down levels + temporaries
-  std::vector<std::uint64_t> slices_;  ///< wide datapath: q = 2m bit-slices,
-                                       ///< slice s at [s * words_, ...)
+  std::vector<std::uint64_t> slices_;  ///< q = 2m bit-slices, slice s at
+                                       ///< [s * words_, ...); the clean
+                                       ///< control path uses the first m
   std::vector<std::uint64_t> spare_slices_;  ///< double buffer for slices_
   std::vector<std::uint64_t> slice_tmp_;     ///< slice_pass staging scratch
   std::vector<Word> outputs_;
   std::vector<std::uint32_t> dest_;
-  ControlSchedule schedule_;  ///< route() = solve into here + apply
+  ControlSchedule schedule_;  ///< the clean route() solves into here
 };
 
 /// Routed batch: destinations flattened permutation-major.
@@ -283,14 +294,15 @@ class CompiledBnb {
   /// Route a permutation: input j carries address pi(j), payload j.
   /// Zero allocations once `scratch` is prepared (unless `trace` is given).
   ///
-  /// The clean path is an explicit solve+apply: solve() materializes the
-  /// permutation's ControlSchedule in the scratch and apply() delivers from
-  /// it — bit-identical to the historic fused route (tests prove it).  A
-  /// non-null `faults` overlays the engine with injected hardware faults
-  /// (compiled from a FaultModel by fault/injection.hpp): per-column mask
-  /// words patch the packed controls/flags/bits, dead crosspoints corrupt
-  /// traversing words.  Fault and trace routes take the fused engine path —
-  /// their semantics are never served from (or recorded into) a schedule.
+  /// The clean path is solve() into the scratch's schedule slot followed
+  /// by the delivery its per-BSN checks proved (input j on line pi(j)) —
+  /// bit-identical to the fused route (tests prove it).  A non-null
+  /// `faults` overlays the engine with injected hardware faults (compiled
+  /// from a FaultModel by fault/injection.hpp): per-column mask words patch
+  /// the packed controls/flags/bits, dead crosspoints corrupt traversing
+  /// words.  Fault and trace routes take the fused engine path, which moves
+  /// every word through every column — their semantics are never served
+  /// from (or recorded into) a schedule.
   [[nodiscard]] Output route(const Permutation& pi, RouteScratch& scratch,
                              ControlTrace* trace = nullptr,
                              const EngineFaults* faults = nullptr) const;
@@ -299,10 +311,13 @@ class CompiledBnb {
 
   /// Decide every switch of the network for `pi` and materialize the
   /// result: all m(m+1)/2 columns' packed controls plus the composed
-  /// input->output-line mapping they induce.  Runs the full kernel datapath
-  /// once (arbiter trees and payload movement); afterwards the schedule
-  /// replays without any arbiter work.  Clean fabric only — fault overlays
-  /// must go through route(), which never touches a schedule.
+  /// input->output-line mapping they induce.  Controls only: the arbiter
+  /// trees run on the address slices, and only the slices later stages
+  /// still sort are moved.  The mapping is recorded as pi after the m
+  /// per-BSN checks prove it (a failed check throws contract_violation).
+  /// Afterwards the schedule replays without any arbiter work.  Clean
+  /// fabric only — fault overlays must go through route(), which never
+  /// touches a schedule.
   /// Zero allocations once `scratch` and `schedule` are prepared.
   void solve(const Permutation& pi, RouteScratch& scratch,
              ControlSchedule& schedule) const;
@@ -416,21 +431,25 @@ class CompiledBnb {
   }
 
  private:
+  /// The clean control path shared by solve() and route(): controls into
+  /// `schedule` (prepared here), delivery proven per BSN, line map = pi.
+  /// No span; the caller has prepared `scratch`.
+  void solve_controls(const Permutation& pi, RouteScratch& scratch,
+                      ControlSchedule& schedule) const;
+  /// Deliver input j (address pi(j), payload j) on line line_of[j].
+  [[nodiscard]] Output deliver(const std::uint32_t* line_of, const Permutation& pi,
+                               RouteScratch& scratch) const;
+  /// The fused fault/trace datapath: every word through every column.
   [[nodiscard]] Output route_impl(RouteScratch& scratch, ControlTrace* trace,
                                   std::span<const Word> payload_source,
-                                  const EngineFaults* faults,
-                                  ControlSchedule* capture = nullptr) const;
+                                  const EngineFaults* faults) const;
   /// Both return a pointer to the final line-state array (state_ or spare_).
-  /// A non-null `capture` receives every column's packed controls (flat,
-  /// allocation-free) as they are decided.
   [[nodiscard]] const std::uint64_t* route_lines(RouteScratch& scratch,
                                                  ControlTrace* trace,
-                                                 const EngineFaults* faults,
-                                                 ControlSchedule* capture) const;
+                                                 const EngineFaults* faults) const;
   [[nodiscard]] const std::uint64_t* route_sliced(RouteScratch& scratch,
                                                   ControlTrace* trace,
-                                                  const EngineFaults* faults,
-                                                  ControlSchedule* capture) const;
+                                                  const EngineFaults* faults) const;
 
   unsigned m_;
   const kernels::KernelSet* ks_;

@@ -133,8 +133,8 @@ CompiledBnb::Output ScheduleCache::route(const CompiledBnb& plan, const Permutat
     return out;
   }
   // General lane: a hit replays STRAIGHT FROM THE SLOT (no schedule copy);
-  // a miss routes the clean path — which already captures the solved
-  // schedule into the scratch slot — and publishes that capture.
+  // a miss routes the clean path — which solves into the scratch's
+  // schedule slot — and publishes that schedule.
   CompiledBnb::Output out;
   if (replay(plan, digest, pi, scratch, out)) {
     return out;

@@ -2,10 +2,16 @@
 // behavioral router — exhaustively over all N! permutations for m <= 3,
 // and over large random samples up to m = 12 — while performing ZERO heap
 // allocations in steady state (verified through the counting operator new
-// of alloc_count_hook.cpp) and scaling across the batch worker pool.
+// of alloc_count_hook.cpp) and scaling across the batch worker pool.  Its
+// controls-only clean path (solve, clean route, route_batch) must match the
+// full word-moving datapath control word for control word, on every kernel
+// tier up to m = 14, and must refuse any delivery its checks cannot prove.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "alloc_count_hook.hpp"
 #include "common/expect.hpp"
@@ -374,11 +380,22 @@ TEST(CompiledBnb, ColumnTableShape) {
 
 // ---- solve/apply split -------------------------------------------------
 
-/// solve() + apply() must equal the fused route() bit for bit, and the
-/// materialized schedule's packed per-column controls must equal what
-/// ControlTrace observes on the arbiter path.
+void expect_same_delivery(const CompiledBnb::Output& got, const CompiledBnb::Output& want,
+                          std::size_t n, const std::string& label) {
+  ASSERT_EQ(got.self_routed, want.self_routed) << label;
+  for (std::size_t j = 0; j < n; ++j) {
+    ASSERT_EQ(got.dest[j], want.dest[j]) << label << " dest[" << j << "]";
+    ASSERT_EQ(got.outputs[j], want.outputs[j]) << label << " line " << j;
+  }
+}
+
+/// The clean controls-only path against the full word-moving datapath:
+/// solve()'s packed per-column controls must equal what ControlTrace
+/// observes on the traced route, word for word, and both apply() of that
+/// schedule and a clean route() must deliver exactly what the traced route
+/// delivered.
 void expect_solve_apply_equivalence(const CompiledBnb& engine, const Permutation& pi,
-                                    const char* label) {
+                                    const std::string& label) {
   RouteScratch route_scratch;
   ControlTrace trace;
   const auto want = engine.route(pi, route_scratch, &trace);
@@ -400,32 +417,110 @@ void expect_solve_apply_equivalence(const CompiledBnb& engine, const Permutation
     }
   }
 
-  const auto got = engine.apply(schedule, pi, scratch);
-  ASSERT_EQ(got.self_routed, want.self_routed) << label;
-  for (std::size_t j = 0; j < engine.inputs(); ++j) {
-    ASSERT_EQ(got.dest[j], want.dest[j]) << label << " dest[" << j << "]";
-    ASSERT_EQ(got.outputs[j], want.outputs[j]) << label << " line " << j;
+  expect_same_delivery(engine.apply(schedule, pi, scratch), want, engine.inputs(),
+                       label + " apply");
+  RouteScratch clean_scratch;
+  expect_same_delivery(engine.route(pi, clean_scratch), want, engine.inputs(),
+                       label + " clean route");
+}
+
+/// Identity, reversal, bit-reversal, perfect shuffle and cyclic shift on
+/// 2^m lines, followed by `randoms` uniform permutations.
+std::vector<Permutation> dense_inputs(unsigned m, int randoms, Rng& rng) {
+  const std::size_t n = std::size_t{1} << m;
+  std::vector<Permutation> perms{identity_perm(n), reversal_perm(n),
+                                 bit_reversal_perm(n), perfect_shuffle_perm(n),
+                                 rotation_perm(n, 1)};
+  for (int r = 0; r < randoms; ++r) perms.push_back(random_perm(n, rng));
+  return perms;
+}
+
+/// The dense differential for one m: every input of dense_inputs() on
+/// every supported kernel tier.
+void expect_dense_equivalence(unsigned m, int randoms) {
+  Rng rng(0xDE45E + m);
+  const std::vector<Permutation> perms = dense_inputs(m, randoms, rng);
+  for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
+    const CompiledBnb engine(m, set);
+    for (std::size_t i = 0; i < perms.size(); ++i) {
+      expect_solve_apply_equivalence(
+          engine, perms[i],
+          std::string(set->name) + " m=" + std::to_string(m) + " input " + std::to_string(i));
+    }
   }
 }
 
 TEST(CompiledBnb, SolveApplyMatchesRouteExhaustiveSmallM) {
-  for (unsigned m = 1; m <= 3; ++m) {
-    const CompiledBnb engine(m);
-    Permutation pi(std::size_t{1} << m);
-    do {
-      expect_solve_apply_equivalence(engine, pi, "exhaustive");
-    } while (pi.next_lexicographic());
+  for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
+    for (unsigned m = 1; m <= 3; ++m) {
+      const CompiledBnb engine(m, set);
+      Permutation pi(std::size_t{1} << m);
+      do {
+        expect_solve_apply_equivalence(engine, pi,
+                                       std::string(set->name) + " " + pi.to_string());
+      } while (pi.next_lexicographic());
+    }
   }
 }
 
 TEST(CompiledBnb, SolveApplyMatchesRouteRandomizedAcrossTiersUpToM12) {
-  Rng rng(0x501E);
-  for (const unsigned m : {4U, 6U, 8U, 12U}) {
-    const Permutation pi = random_perm(std::size_t{1} << m, rng);
-    for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
-      const CompiledBnb engine(m, set);
-      expect_solve_apply_equivalence(engine, pi, set->name);
+  for (unsigned m = 1; m <= 12; ++m) expect_dense_equivalence(m, 16);
+}
+
+TEST(CompiledBnb, SolveApplyMatchesRouteAcrossTiersAtM13AndM14) {
+  for (const unsigned m : {13U, 14U}) expect_dense_equivalence(m, 4);
+}
+
+TEST(CompiledBnb, BatchMatchesPerRouteDestAcrossTiersAtM13) {
+  const unsigned m = 13;
+  const std::size_t n = std::size_t{1} << m;
+  Rng rng(0xDE45E0);
+  const std::vector<Permutation> perms = dense_inputs(m, 4, rng);
+  for (const kernels::KernelSet* set : kernels::supported_kernel_sets()) {
+    const CompiledBnb engine(m, set);
+    const BatchResult batch = engine.route_batch(perms, /*threads=*/3);
+    ASSERT_EQ(batch.permutations, perms.size());
+    EXPECT_TRUE(batch.all_self_routed) << set->name;
+    RouteScratch scratch;
+    ControlTrace trace;  // traced: the full word-moving datapath
+    for (std::size_t i = 0; i < perms.size(); ++i) {
+      const auto out = engine.route(perms[i], scratch, &trace);
+      for (std::size_t j = 0; j < n; ++j) {
+        ASSERT_EQ(batch.dest[i * n + j], out.dest[j])
+            << set->name << " row " << i << " input " << j;
+      }
     }
+  }
+}
+
+TEST(CompiledBnb, CleanPathRefusesADeliveryItCannotProve) {
+  // A slice pass that loses the moved address slices leaves the later
+  // stages sorting all-zero bits: the first later BSN's output pairs then
+  // hold two equal bits, the per-BSN check fails, and no entry point may
+  // return the unproven delivery.
+  kernels::KernelSet broken = kernels::active_kernels();
+  broken.slice_pass = [](const std::uint64_t*, std::size_t nbits, const std::uint64_t*,
+                         std::size_t, std::uint64_t*, std::uint64_t* out) {
+    std::fill(out, out + bitpack::words_for(nbits), std::uint64_t{0});
+  };
+  const unsigned m = 8;
+  const CompiledBnb engine(m, &broken);
+  Rng rng(0xB40C);
+  const Permutation pi = random_perm(engine.inputs(), rng);
+
+  RouteScratch scratch;
+  ControlSchedule schedule;
+  EXPECT_THROW(engine.solve(pi, scratch, schedule), contract_violation);
+  EXPECT_FALSE(schedule.solved());
+  EXPECT_THROW((void)engine.route(pi, scratch), contract_violation);
+
+  const std::vector<Permutation> perms{pi};
+  try {
+    (void)engine.route_batch(perms, 1);
+    FAIL() << "route_batch returned an unproven delivery";
+  } catch (const batch_route_error& e) {
+    EXPECT_EQ(e.index(), 0U);
+    EXPECT_THROW(std::rethrow_exception(e.cause()), contract_violation);
   }
 }
 

@@ -223,6 +223,62 @@ TEST(Kernels, Transpose64x64MatchesBitDefinitionAndIsAnInvolution) {
   EXPECT_TRUE(std::equal(std::begin(x), std::end(x), std::begin(orig)));
 }
 
+// ---- pairs_split: the clean control path's per-BSN delivery check -------
+
+TEST(Kernels, PairsSplitAcceptsBalancedPairs) {
+  Rng rng(0xC0DE05);
+  for (const std::size_t pairs : {1UL, 2UL, 5UL, 63UL, 64UL, 65UL, 128UL, 200UL, 4096UL}) {
+    std::vector<std::uint64_t> e = random_packed(pairs, rng);
+    std::vector<std::uint64_t> o = e;
+    for (auto& w : o) w = ~w;
+    EXPECT_TRUE(bitpack::pairs_split(e.data(), o.data(), pairs)) << "pairs=" << pairs;
+  }
+}
+
+TEST(Kernels, PairsSplitRejectsASameBitPairInAnyWord) {
+  // 200 pairs span four words: the first, two middle ones, and a last word
+  // holding 8 pairs.
+  constexpr std::size_t kPairs = 200;
+  Rng rng(0xC0DE06);
+  const std::vector<std::uint64_t> e = random_packed(kPairs, rng);
+  std::vector<std::uint64_t> balanced = e;
+  for (auto& w : balanced) w = ~w;
+  for (const std::size_t t : {std::size_t{0}, std::size_t{100}, kPairs - 1}) {
+    std::vector<std::uint64_t> o = balanced;
+    o[t >> 6] ^= std::uint64_t{1} << (t & 63);  // pair t now holds two equal bits
+    EXPECT_FALSE(bitpack::pairs_split(e.data(), o.data(), kPairs)) << "pair " << t;
+  }
+}
+
+TEST(Kernels, PairsSplitIgnoresBitsPastThePairCount) {
+  // Equal bits at positions >= pairs would be same-bit pairs if read.
+  constexpr std::size_t kPairs = 200;
+  Rng rng(0xC0DE07);
+  std::vector<std::uint64_t> e = random_packed(kPairs, rng);
+  std::vector<std::uint64_t> o = e;
+  for (auto& w : o) w = ~w;
+  const std::uint64_t tail = ~((std::uint64_t{1} << (kPairs % 64)) - 1);
+  e.back() &= ~tail;
+  o.back() &= ~tail;  // bits 200..255 zero in both
+  EXPECT_TRUE(bitpack::pairs_split(e.data(), o.data(), kPairs));
+  e.back() |= tail;
+  o.back() |= tail;  // ... and all ones in both
+  EXPECT_TRUE(bitpack::pairs_split(e.data(), o.data(), kPairs));
+}
+
+TEST(Kernels, PairsSplitSinglePair) {
+  // m = 1: one switch, one pair, bit 0 only.
+  const std::uint64_t zero = 0;
+  const std::uint64_t one = 1;
+  const std::uint64_t garbage_zero = ~std::uint64_t{1};  // bit 0 clear
+  EXPECT_TRUE(bitpack::pairs_split(&zero, &one, 1));
+  EXPECT_TRUE(bitpack::pairs_split(&one, &zero, 1));
+  EXPECT_FALSE(bitpack::pairs_split(&zero, &zero, 1));
+  EXPECT_FALSE(bitpack::pairs_split(&one, &one, 1));
+  EXPECT_TRUE(bitpack::pairs_split(&garbage_zero, &one, 1));
+  EXPECT_FALSE(bitpack::pairs_split(&garbage_zero, &zero, 1));
+}
+
 // ---- full-route equivalence -------------------------------------------
 
 /// Route `pi` through a plan per tier and require outputs, destinations,
