@@ -9,9 +9,10 @@
 // mutex+LRU+shared_ptr baseline, plus probe-length stats), the
 // register-resident small-N lane (m in {4,5,6}: SmallSchedule::apply /
 // apply8 replay vs the general warm-cache path at the same size),
-// StreamEngine throughput (inline vs solver/applier-pipelined, with and
-// without a warm cache), and the telemetry overhead of the obs spans (each
-// m=12 phase timed with spans runtime-enabled vs runtime-disabled).
+// StreamEngine throughput (1, 2 and 4 workers, with and without a warm
+// cache, against route_batch on the same m=14 pool), and the telemetry
+// overhead of the obs spans (each m=12 phase timed with spans
+// runtime-enabled vs runtime-disabled).
 // Results are written as JSON (schema "bnb.bench_routing.v6") so the
 // checked-in BENCH_routing.json can be regenerated and diffed; see
 // docs/PERF.md for the schema and EXPERIMENTS.md for regeneration
@@ -560,35 +561,52 @@ int main(int argc, char** argv) {
                 row.apply_ns / row.apply8_ns);
   }
 
-  // Stream throughput: the same 64-permutation stream through every
-  // StreamEngine shape.  Cached rows time the warm steady state (the
-  // engine's first run fills the shared cache).
-  const unsigned stream_m = 12;
-  const std::size_t stream_perms = 64;
+  // Stream throughput: the batch section's 64 m=14 permutations through
+  // StreamEngine at 1, 2 and 4 workers, cold and cached (cached rows time
+  // the warm steady state: the engine's first run fills its cache), plus
+  // route_batch on the same pool at 4 threads, timed right after the cold
+  // 4-worker stream so both see the same host: the two entry points share
+  // one scheduler, so the stream should match it.
+  const unsigned stream_m = batch_m;
+  const std::size_t stream_perms = batch_perms;
+  const unsigned stream_vs_batch_threads = 4;
   std::vector<StreamRow> stream;
-  {
-    const bnb::CompiledBnb plan(stream_m);
-    const auto pool = perm_pool(std::size_t{1} << stream_m, stream_perms, rng);
-    for (const bool cached : {false, true}) {
-      for (const unsigned threads : {1U, 2U}) {
-        bnb::ScheduleCache cache(128);
-        bnb::StreamEngine::Options options;
-        options.threads = threads;
-        options.cache = cached ? &cache : nullptr;
-        const bnb::StreamEngine stream_engine(plan, options);
-        const double ns = ns_per_call(
-                              [&] {
-                                const auto r = stream_engine.run(pool);
-                                if (!r.stats.all_self_routed) std::exit(1);
-                              },
-                              budget) /
-                          static_cast<double>(stream_perms);
-        const bool oversubscribed = threads > hardware_threads;
-        stream.push_back({threads, threads >= 2, cached, oversubscribed, ns});
-        std::printf("stream m=%u threads=%u %-9s %-6s %9.0f ns/perm  %12.3f perms/sec%s\n",
-                    stream_m, threads, threads >= 2 ? "pipelined" : "inline",
-                    cached ? "cached" : "cold", ns, 1e9 / ns,
-                    oversubscribed ? "  (oversubscribed)" : "");
+  double stream_cold_ns = 0;
+  double batch_same_ns = 0;
+  for (const bool cached : {false, true}) {
+    for (const unsigned threads : {1U, 2U, 4U}) {
+      const bool oversubscribed = threads > hardware_threads;
+      if (oversubscribed && !force_threads && threads != 2) continue;
+      bnb::ScheduleCache cache(128);
+      bnb::StreamEngine::Options options;
+      options.threads = threads;
+      options.cache = cached ? &cache : nullptr;
+      const bnb::StreamEngine stream_engine(engine, options);
+      bool pipelined = false;
+      const double ns = ns_per_call(
+                            [&] {
+                              const auto r = stream_engine.run(batch_pool);
+                              if (!r.stats.all_self_routed) std::exit(1);
+                              pipelined = r.stats.pipelined;
+                            },
+                            budget) /
+                        static_cast<double>(stream_perms);
+      stream.push_back({threads, pipelined, cached, oversubscribed, ns});
+      std::printf("stream m=%u threads=%u %-6s %9.0f ns/perm  %12.3f perms/sec%s\n",
+                  stream_m, threads, cached ? "cached" : "cold", ns, 1e9 / ns,
+                  oversubscribed ? "  (oversubscribed)" : "");
+      if (!cached && threads == stream_vs_batch_threads) {
+        stream_cold_ns = ns;
+        batch_same_ns = ns_per_call(
+                            [&] {
+                              const auto r = engine.route_batch(batch_pool, threads);
+                              if (!r.all_self_routed) std::exit(1);
+                            },
+                            budget) /
+                        static_cast<double>(batch_perms);
+        std::printf("stream m=%u threads=%u cold vs route_batch: %9.0f ns/perm, "
+                    "stream at %.2fx of route_batch\n",
+                    stream_m, threads, batch_same_ns, batch_same_ns / stream_cold_ns);
       }
     }
   }
@@ -790,6 +808,12 @@ int main(int argc, char** argv) {
   std::fprintf(f, "    ]\n  },\n");
   std::fprintf(f, "  \"stream\": {\n    \"m\": %u,\n    \"permutations\": %zu,\n",
                stream_m, stream_perms);
+  if (batch_same_ns > 0) {
+    std::fprintf(f,
+                 "    \"route_batch_threads\": %u,\n    \"route_batch_ns_per_perm\": %.1f,\n"
+                 "    \"stream_vs_route_batch\": %.3f,\n",
+                 stream_vs_batch_threads, batch_same_ns, batch_same_ns / stream_cold_ns);
+  }
   std::fprintf(f, "    \"results\": [\n");
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const auto& row = stream[i];

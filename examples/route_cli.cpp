@@ -29,10 +29,10 @@
 //                             # an unreadable or corrupt store exits 2
 //   route_cli --stream --batch 200 --repeat 5 --threads 2 64
 //                             # stream 200 random 64-line permutations 5 times
-//                             # through the StreamEngine (solver/applier
-//                             # pipeline at --threads >= 2, inline at 1) over a
-//                             # shared ScheduleCache; passes after the first
-//                             # are pure cache hits
+//                             # through the StreamEngine (--threads workers,
+//                             # each routing whole items) over a shared
+//                             # ScheduleCache; passes after the first are
+//                             # pure cache hits
 //   route_cli --chaos --rounds 2000 --seed 7 16
 //                             # seeded chaos campaign on a 16-line fabric:
 //                             # a fault-arrival process (transient glitches,
@@ -51,7 +51,7 @@
 //                             # sink for the run and exports it as Chrome
 //                             # trace-event JSON (open in Perfetto / DevTools);
 //                             # per-route trace ids link each solve to its
-//                             # queue-wait and apply across threads
+//                             # queue-wait and apply
 //   route_cli --chaos --rounds 2000 --timeseries-out=ts.json 16
 //                             # any mode + --timeseries-out=FILE samples the
 //                             # metrics registry on an interval and exports a
@@ -64,6 +64,7 @@
 // Exit code 0 iff the permutation(s) were routed (always, for valid input);
 // under --inject, 0 iff no route ended in a SILENT misroute — caught-and-
 // healed faults still exit 0, that is the point of the robust layer.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -321,7 +322,7 @@ int run_chaos(std::uint64_t seed, std::size_t rounds, unsigned threads,
   config.m = bnb::log2_exact(n);
   config.seed = seed;
   config.router_routes = rounds;
-  config.stream_threads = threads >= 2 ? 2 : 1;
+  config.stream_threads = std::min(threads, 256U);
   // --timeseries-out: the campaign runs its own registry, so the sampler
   // has to live inside it (fault/chaos.hpp wires one in when asked).
   if (!timeseries_out.empty()) config.sample_interval_ms = 25;
@@ -429,18 +430,17 @@ int run_stream(std::size_t count, unsigned threads, std::size_t repeat,
   bool all_ok = true;
   std::uint64_t solved = 0;
   std::uint64_t hits = 0;
-  bool pipelined = false;
+  unsigned workers = 0;
   const unsigned long long small_before = small_route_total();
   for (std::size_t pass = 0; pass < repeat; ++pass) {
     const auto result = stream.run(perms);
     all_ok &= result.stats.all_self_routed;
     solved += result.stats.solved;
     hits += result.stats.cache_hits;
-    pipelined = result.stats.pipelined;
+    workers = std::max(workers, result.stats.threads_used);
   }
-  std::printf("stream: %zu permutations x %zu pass%s of %zu lines, %s: %s\n",
-              count, repeat, repeat == 1 ? "" : "es", n,
-              pipelined ? "solver/applier pipelined" : "inline",
+  std::printf("stream: %zu permutations x %zu pass%s of %zu lines, %u worker%s: %s\n",
+              count, repeat, repeat == 1 ? "" : "es", n, workers, workers == 1 ? "" : "s",
               all_ok ? "all routed OK" : "ROUTING FAILED");
   std::printf("stream: %llu cold solves, %llu schedule replays\n",
               static_cast<unsigned long long>(solved),
@@ -453,10 +453,10 @@ int run_stream(std::size_t count, unsigned threads, std::size_t repeat,
     return metric != nullptr ? metric->counter : 0;
   };
   const auto* high_water = snap.find("bnb_stream_ring_high_water");
-  std::printf("ring: high-water %lld solved schedule%s queued (depth %zu)\n",
-              high_water != nullptr ? static_cast<long long>(high_water->gauge) : 0,
-              high_water != nullptr && high_water->gauge == 1 ? "" : "s",
-              options.ring_depth);
+  const long long in_flight =
+      high_water != nullptr ? static_cast<long long>(high_water->gauge) : 0;
+  std::printf("in flight: at most %lld item%s at once\n", in_flight,
+              in_flight == 1 ? "" : "s");
   std::printf("cache: %llu hits, %llu misses, %llu evictions, %llu bypasses "
               "(%zu entries)\n",
               counter_of("bnb_cache_hits_total"), counter_of("bnb_cache_misses_total"),

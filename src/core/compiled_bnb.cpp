@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <deque>
-#include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 
 #include "common/expect.hpp"
+#include "core/batch_scheduler.hpp"
 #include "core/bit_pack.hpp"
 #include "core/schedule_cache.hpp"
 #include "obs/metrics.hpp"
@@ -769,70 +766,7 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
     return result;
   }
 
-  // Work-stealing chunked scheduler.  The batch is cut into contiguous
-  // chunks (several per worker so stealing has something to take); each
-  // worker owns a deque seeded with a contiguous span of chunks, pops its
-  // own work from the FRONT (cache-friendly in-order progress) and, when
-  // empty, steals a victim's BACK chunk (the furthest from where the victim
-  // is working).  Spawning more workers than chunks is pointless, so the
-  // pool size is clamped to the chunk count — the oversubscription guard.
-  using ChunkRange = std::pair<std::size_t, std::size_t>;  // [begin, end)
-  struct ChunkQueue {
-    std::mutex mu;
-    std::deque<ChunkRange> chunks;
-  };
-
-  const std::size_t chunk_size =
-      std::max<std::size_t>(1, perms.size() / (std::size_t{8} * threads));
-  const std::size_t nchunks = (perms.size() + chunk_size - 1) / chunk_size;
-  const auto workers =
-      static_cast<unsigned>(std::min<std::size_t>(threads, nchunks));
-
-  std::vector<ChunkQueue> queues(workers);
-  for (std::size_t c = 0; c < nchunks; ++c) {
-    const std::size_t begin = c * chunk_size;
-    const std::size_t end = std::min(perms.size(), begin + chunk_size);
-    queues[static_cast<std::size_t>(c * workers / nchunks)].chunks.push_back(
-        {begin, end});
-  }
-
-  auto take = [&](unsigned victim, bool from_back) -> std::optional<ChunkRange> {
-    ChunkQueue& q = queues[victim];
-    std::lock_guard<std::mutex> lock(q.mu);
-    if (q.chunks.empty()) return std::nullopt;
-    ChunkRange r;
-    if (from_back) {
-      r = q.chunks.back();
-      q.chunks.pop_back();
-    } else {
-      r = q.chunks.front();
-      q.chunks.pop_front();
-    }
-    return r;
-  };
-
   std::atomic<bool> all_ok{true};
-  // First worker exception wins; the stop flag drains the remaining work so
-  // every thread joins cleanly and the error surfaces on the calling thread
-  // instead of std::terminate-ing the process.
-  std::atomic<bool> stop{false};
-  std::mutex error_mutex;
-  std::exception_ptr first_error;
-  std::size_t first_error_index = 0;
-  std::vector<std::size_t> failed_indices;
-
-  auto record_error = [&](std::size_t idx) {
-    std::lock_guard<std::mutex> lock(error_mutex);
-    if (!first_error) {
-      first_error = std::current_exception();
-      first_error_index = idx;
-    }
-    // Keep every failing index: concurrent workers may all fail before the
-    // stop flag drains the pool, and a multi-fault campaign wants them all.
-    failed_indices.push_back(idx);
-    stop.store(true, std::memory_order_relaxed);
-  };
-
   // Small-N batches take the register-resident lane: each worker keeps a
   // tiny direct-mapped memo of flattened schedules so a permutation that
   // repeats within its chunks replays in registers instead of re-running
@@ -840,7 +774,8 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
   const bool small_lane =
       small_capable() && (faults == nullptr || faults->empty());
 
-  auto drain = [&](unsigned self) {
+  BatchScheduler scheduler(perms.size(), threads);
+  scheduler.run([&](unsigned) {
     RouteScratch scratch;
     constexpr std::size_t kMemoSlots = 16;
     struct MemoEntry {
@@ -848,84 +783,37 @@ BatchResult CompiledBnb::route_batch(std::span<const Permutation> perms,
       SmallSchedule schedule;
     };
     std::array<MemoEntry, kMemoSlots> memo{};
-    try {
-      scratch.prepare(*this);
-    } catch (...) {
-      // Treat a scratch failure (bad_alloc) like a fault of the first item
-      // this worker would have claimed.
-      std::size_t idx = 0;
-      {
-        std::lock_guard<std::mutex> lock(queues[self].mu);
-        if (!queues[self].chunks.empty()) idx = queues[self].chunks.front().first;
-      }
-      record_error(idx);
-      return;
-    }
-    for (;;) {
-      if (stop.load(std::memory_order_relaxed)) return;
-      std::optional<ChunkRange> range = take(self, /*from_back=*/false);
-      for (unsigned d = 1; !range && d < workers; ++d) {
-        range = take((self + d) % workers, /*from_back=*/true);
-      }
-      if (!range) return;  // every queue drained
-      for (std::size_t idx = range->first; idx < range->second; ++idx) {
-        if (stop.load(std::memory_order_relaxed)) return;
-        // Each batch item is its own causal unit: a fresh trace id per
-        // permutation (the small lane's apply_small span inherits it too).
-        BNB_OBS_TRACE_ROOT(item_scope);
-        try {
-          // Per-item validation happens here, inside the worker, so a bad
-          // permutation is reported with its batch index rather than tearing
-          // the whole call down before any routing starts.
-          BNB_EXPECTS(perms[idx].size() == n);
-          Output out;
-          if (small_lane) {
-            const PermutationDigest digest = digest_permutation(perms[idx]);
-            MemoEntry& slot = memo[digest.hi & (kMemoSlots - 1)];
-            if (!slot.schedule.solved() || !(slot.digest == digest)) {
-              slot.schedule = compile_small(perms[idx], scratch);
-              slot.digest = digest;
-            }
-            out = apply_small(slot.schedule, perms[idx], scratch);
-          } else {
-            out = route(perms[idx], scratch, nullptr, faults);
+    BatchScheduler::Claim claim;
+    for (std::size_t idx = 0; scheduler.next(claim, idx);) {
+      // Each batch item is its own causal unit: a fresh trace id per
+      // permutation (the small lane's apply_small span inherits it too).
+      BNB_OBS_TRACE_ROOT(item_scope);
+      try {
+        // Per-item validation happens here, inside the worker, so a bad
+        // permutation is reported with its batch index rather than tearing
+        // the whole call down before any routing starts.
+        BNB_EXPECTS(perms[idx].size() == n);
+        Output out;
+        if (small_lane) {
+          const PermutationDigest digest = digest_permutation(perms[idx]);
+          MemoEntry& slot = memo[digest.hi & (kMemoSlots - 1)];
+          if (!slot.schedule.solved() || !(slot.digest == digest)) {
+            slot.schedule = compile_small(perms[idx], scratch);
+            slot.digest = digest;
           }
-          if (!out.self_routed) all_ok.store(false, std::memory_order_relaxed);
-          std::copy(out.dest.begin(), out.dest.end(),
-                    result.dest.begin() + static_cast<std::ptrdiff_t>(idx * n));
-        } catch (...) {
-          record_error(idx);
-          return;
+          out = apply_small(slot.schedule, perms[idx], scratch);
+        } else {
+          out = route(perms[idx], scratch, nullptr, faults);
         }
+        if (!out.self_routed) all_ok.store(false, std::memory_order_relaxed);
+        std::copy(out.dest.begin(), out.dest.end(),
+                  result.dest.begin() + static_cast<std::ptrdiff_t>(idx * n));
+      } catch (...) {
+        scheduler.fail(idx);
       }
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(workers - 1);
-  for (unsigned t = 1; t < workers; ++t) pool.emplace_back(drain, t);
-  drain(0);
-  for (auto& th : pool) th.join();
-
-  if (first_error) {
-    std::string what = "route_batch: permutation " +
-                       std::to_string(first_error_index) + " of " +
-                       std::to_string(perms.size()) + " threw";
-    try {
-      std::rethrow_exception(first_error);
-    } catch (const std::exception& e) {
-      what += ": ";
-      what += e.what();
-    } catch (...) {
-      // Non-std exception: the index and cause() still identify it.
-    }
-    if (failed_indices.size() > 1) {
-      what += " (+" + std::to_string(failed_indices.size() - 1) +
-              " more worker failure" + (failed_indices.size() > 2 ? "s" : "") + ")";
-    }
-    throw batch_route_error(first_error_index, first_error, what,
-                            std::move(failed_indices));
-  }
+  });
+  if (scheduler.failed()) scheduler.rethrow("route_batch");
 
   result.all_self_routed = all_ok.load();
   return result;

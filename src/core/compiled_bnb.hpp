@@ -27,9 +27,9 @@
 // working set shrinks from 8N bytes to qN/8.
 //
 // Controls/trace capture is opt-in (ControlTrace) and off the fast path.
-// route_batch() adds a multi-threaded sustained-throughput API on top: a
-// work-stealing pool of chunked workers with one scratch each drains a span
-// of permutations.  Results are bit-identical to BnbNetwork::route_words
+// route_batch() adds a multi-threaded sustained-throughput API on top: the
+// shared BatchScheduler (core/batch_scheduler.hpp) hands chunks of a span
+// of permutations to workers with one scratch each.  Results are bit-identical to BnbNetwork::route_words
 // (tests/test_engine.cpp proves it exhaustively for m <= 3), on every
 // kernel tier (tests/test_kernels.cpp).
 //
@@ -200,12 +200,13 @@ struct BatchResult {
   bool all_self_routed = false;
 };
 
-/// An exception escaped a route_batch worker thread.  The worker captures
-/// it and the pool rethrows it on the calling thread as this type, naming
-/// the batch index that failed; the original exception is in cause().
-/// Under multi-fault campaigns several workers can fail before the stop
-/// flag drains the pool — every failing index observed is retained in
-/// failed_indices() so concurrent damage is debuggable from one error.
+/// An exception escaped a route_batch or StreamEngine worker.  The worker
+/// captures it and the scheduler rethrows it on the calling thread as this
+/// type, naming the LOWEST failing batch index (deterministic: every item
+/// below it still runs); the original exception is in cause().  Under
+/// multi-fault campaigns several items can fail — every failing index
+/// observed is retained in failed_indices() so concurrent damage is
+/// debuggable from one error.
 class batch_route_error : public std::runtime_error {
  public:
   batch_route_error(std::size_t index, std::exception_ptr cause,
@@ -218,20 +219,18 @@ class batch_route_error : public std::runtime_error {
     if (failed_.empty()) failed_.push_back(index_);
   }
 
-  /// Index into the batch of the FIRST permutation whose route threw (the
-  /// one cause() belongs to).
+  /// Index into the batch of the lowest-indexed permutation whose route
+  /// threw (the one cause() belongs to).
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
   /// The original exception; std::rethrow_exception to recover its type.
   [[nodiscard]] std::exception_ptr cause() const noexcept { return cause_; }
 
-  /// Every failing batch index observed before the pool drained, first
-  /// failure included, in the order the failures were recorded.  Always
-  /// non-empty and always contains index().
+  /// Every failing batch index observed before the workers drained, in
+  /// ascending order.  Always non-empty; front() is index().
   [[nodiscard]] const std::vector<std::size_t>& failed_indices() const noexcept {
     return failed_;
   }
-  /// Failures beyond the first — workers that also failed while the stop
-  /// flag propagated.
+  /// Failures beyond index() — other items that also failed.
   [[nodiscard]] std::size_t additional_failures() const noexcept {
     return failed_.size() - 1;
   }
@@ -388,12 +387,13 @@ class CompiledBnb {
                                    ControlTrace* trace = nullptr,
                                    const EngineFaults* faults = nullptr) const;
 
-  /// Sustained-throughput API: route every permutation of `perms` on a
-  /// small worker pool of `threads` workers (one RouteScratch each).
-  /// Requires 1 <= threads <= 256.  An exception escaping a worker (e.g. a
-  /// contract_violation for a wrong-size permutation) is captured, the pool
-  /// drains, and it is rethrown here as batch_route_error with the failing
-  /// batch index — a worker exception never std::terminates the process.
+  /// Sustained-throughput API: route every permutation of `perms` on
+  /// min(threads, perms.size()) workers (one RouteScratch each; the calling
+  /// thread is one of them).  Requires 1 <= threads <= 256.  An exception
+  /// escaping an item (e.g. a contract_violation for a wrong-size
+  /// permutation) is captured, the workers drain, and it is rethrown here
+  /// as batch_route_error with the lowest failing batch index — a worker
+  /// exception never std::terminates the process.
   [[nodiscard]] BatchResult route_batch(std::span<const Permutation> perms,
                                         unsigned threads = 1,
                                         const EngineFaults* faults = nullptr) const;

@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <exception>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "common/expect.hpp"
+#include "core/batch_scheduler.hpp"
 #include "obs/span.hpp"
 #include "obs/trace_context.hpp"
 
@@ -23,113 +22,6 @@ namespace {
                                         .count());
 }
 
-/// Single-producer single-consumer ring of solved schedules.  Monotonic
-/// head/tail counters masked into a power-of-two slot array; the producer
-/// publishes with a release store of head_, the consumer with a release
-/// store of tail_ — the classic two-index SPSC queue, wait-free on both
-/// sides (callers spin with yield on full/empty).  push/pop SWAP with the
-/// ring storage instead of move-assigning: the caller's slot gets the
-/// retired occupant back, so its schedule buffers circulate between the
-/// stages and a steady-state stream re-solves into already-sized memory.
-template <typename T>
-class SpscRing {
- public:
-  explicit SpscRing(std::size_t capacity) {
-    std::size_t pow2 = 2;
-    while (pow2 < capacity) pow2 <<= 1;
-    mask_ = pow2 - 1;
-    slots_.resize(pow2);
-  }
-
-  [[nodiscard]] bool try_push(T& value) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    if (head - tail_.load(std::memory_order_acquire) > mask_) return false;
-    std::swap(slots_[head & mask_], value);
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  [[nodiscard]] bool try_pop(T& out) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    if (tail == head_.load(std::memory_order_acquire)) return false;
-    std::swap(out, slots_[tail & mask_]);
-    tail_.store(tail + 1, std::memory_order_release);
-    return true;
-  }
-
-  /// Approximate occupancy (exact from the producer thread).
-  [[nodiscard]] std::uint64_t size() const noexcept {
-    return head_.load(std::memory_order_relaxed) - tail_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::vector<T> slots_;
-  std::uint64_t mask_ = 0;
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
-};
-
-/// One solved permutation in flight between the solver and applier stages.
-/// BOTH lanes travel by value: small plans (m <= SmallSchedule::kMaxM) in
-/// `small`, general plans in `schedule` — no shared_ptr churn in either.
-/// The swap-based ring recirculates the schedule's buffers between the
-/// stages, so once every ring slot has been shaped a pipelined stream
-/// solves, ships, and replays with no per-permutation allocation at all;
-/// small.solved() tells the applier which lane to replay.  Under
-/// isolate_errors a solver-side failure still ships a slot with `failed`
-/// set so the applier can retire the index as kFailed in order.
-struct StreamSlot {
-  std::size_t index = 0;
-  ControlSchedule schedule;
-  SmallSchedule small;
-  bool failed = false;
-#if BNB_OBS_COMPILED
-  // Causal identity rides the ring with the schedule: the applier rebinds
-  // its apply span to the item's trace, and enqueue_ns (stamped by the
-  // solver after the solve, BEFORE any backpressure spin) lets it attribute
-  // the dwell time between the stages as a queue-wait pseudo-span.
-  std::uint64_t trace_id = 0;
-  std::uint64_t enqueue_ns = 0;
-#endif
-};
-
-/// First-error-wins capture shared by the two stages (route_batch
-/// semantics): the first recorded exception is the cause, but every
-/// failing index is retained so batch_route_error::failed_indices() can
-/// report concurrent damage.
-struct ErrorLatch {
-  std::mutex mu;
-  std::exception_ptr error;
-  std::vector<std::size_t> indices;  ///< every failure, in recording order
-
-  void record(std::size_t at, std::atomic<bool>& stop) {
-    {
-      std::scoped_lock lock(mu);
-      if (!error) error = std::current_exception();
-      indices.push_back(at);
-    }
-    stop.store(true, std::memory_order_release);
-  }
-
-  [[noreturn]] void rethrow(std::size_t total) const {
-    const std::size_t first = indices.front();
-    std::string what = "stream_engine: permutation " + std::to_string(first) + " of " +
-                       std::to_string(total) + " threw";
-    try {
-      std::rethrow_exception(error);
-    } catch (const std::exception& e) {
-      what += ": ";
-      what += e.what();
-    } catch (...) {
-      // Non-std exception: the index and cause() still identify it.
-    }
-    if (indices.size() > 1) {
-      what += " (+" + std::to_string(indices.size() - 1) + " more worker failures)";
-    }
-    throw batch_route_error(first, error, what, indices);
-  }
-};
-
 }  // namespace
 
 stream_overload_error::stream_overload_error(std::size_t limit, std::size_t offered)
@@ -141,9 +33,9 @@ stream_overload_error::stream_overload_error(std::size_t limit, std::size_t offe
 
 stream_stall_error::stream_stall_error(std::size_t solved, std::size_t applied,
                                        std::size_t total, std::uint64_t timeout_ms)
-    : std::runtime_error("stream_engine: watchdog saw no progress for " +
-                         std::to_string(timeout_ms) + " ms (solved " + std::to_string(solved) +
-                         ", applied " + std::to_string(applied) + " of " +
+    : std::runtime_error("stream_engine: watchdog saw no item retire for " +
+                         std::to_string(timeout_ms) + " ms (" + std::to_string(solved) +
+                         " picked up, " + std::to_string(applied) + " retired of " +
                          std::to_string(total) + "); stream failed instead of hanging"),
       solved_(solved),
       applied_(applied),
@@ -194,7 +86,6 @@ class StreamEngine::ActiveRun {
 StreamEngine::StreamEngine(const CompiledBnb& plan, Options options)
     : plan_(plan),
       threads_(options.threads),
-      ring_depth_(std::max<std::size_t>(options.ring_depth, 2)),
       cache_(options.cache),
       admission_limit_(options.admission_limit),
       isolate_errors_(options.isolate_errors),
@@ -203,7 +94,7 @@ StreamEngine::StreamEngine(const CompiledBnb& plan, Options options)
       apply_hook_(std::move(options.apply_hook)) {
   BNB_EXPECTS(options.threads <= 256);
   if (threads_ == 0) {
-    threads_ = std::thread::hardware_concurrency() > 1 ? 2 : 1;
+    threads_ = std::clamp(std::thread::hardware_concurrency(), 1U, 256U);
   }
   obs::MetricsRegistry& reg =
       options.registry != nullptr ? *options.registry : obs::MetricsRegistry::global();
@@ -218,11 +109,11 @@ StreamEngine::StreamEngine(const CompiledBnb& plan, Options options)
   item_failures_ = &reg.counter("bnb_stream_item_failures_total",
                                 "stream items marked failed under error isolation");
   stalls_ = &reg.counter("bnb_stream_stalls_total",
-                         "streams failed by the pipeline stall watchdog");
+                         "streams failed by the watchdog: no item retired for the timeout");
   cancelled_runs_ = &reg.counter("bnb_stream_cancelled_total",
                                  "stream runs interrupted by cancel() or destruction");
   ring_high_water_ = &reg.gauge("bnb_stream_ring_high_water",
-                                "max solved schedules queued in any run's SPSC ring");
+                                "most stream items in flight at once in any run");
 }
 
 StreamEngine::~StreamEngine() {
@@ -249,22 +140,16 @@ StreamEngine::Result StreamEngine::run(std::span<const Permutation> perms) const
     }
     admitted = perms.first(admission_limit_);
   }
-  Result result = run_admitted(admitted, offered);
-  publish(result.stats);
-  return result;
-}
-
-StreamEngine::Result StreamEngine::run_admitted(std::span<const Permutation> perms,
-                                                std::size_t offered) const {
-  Result result = threads_ >= 2 ? run_pipelined(perms) : run_inline(perms);
-  if (perms.size() < offered) {
+  Result result = run_admitted(admitted);
+  if (admitted.size() < offered) {
     // Shed tail: the refused suffix gets zeroed dest rows and kShed marks,
     // and stats still account for every permutation offered.
     result.dest.resize(offered * plan_.inputs(), 0);
     result.status.resize(offered, StreamItemStatus::kShed);
-    result.stats.shed = offered - perms.size();
+    result.stats.shed = offered - admitted.size();
     result.stats.permutations = offered;
   }
+  publish(result.stats);
   return result;
 }
 
@@ -278,101 +163,55 @@ void StreamEngine::publish(const Stats& stats) const {
   ring_high_water_->update_max(static_cast<std::int64_t>(stats.ring_high_water));
 }
 
-StreamEngine::Result StreamEngine::run_inline(std::span<const Permutation> perms) const {
-  const std::size_t n = plan_.inputs();
-  Result result;
-  result.stats.permutations = perms.size();
-  result.stats.threads_used = 1;
-  result.stats.pipelined = false;
-  result.dest.resize(perms.size() * n);
-  result.status.assign(perms.size(), StreamItemStatus::kOk);
-
-  RouteScratch scratch;
-  ControlSchedule local;  // reused across solves and cache copy-outs: the
-                          // inline general lane is allocation-free once
-                          // `local` has taken this plan's shape
-  const bool small = plan_.small_capable();
-  bool all_ok = true;
-#if BNB_OBS_COMPILED
-  // The enclosing run() trace; each stream item becomes a child trace of
-  // it (no ids are allocated when the run itself is untraced).
-  const obs::TraceContext run_ctx = obs::current_context();
-#endif
-  for (std::size_t i = 0; i < perms.size(); ++i) {
-    if (cancelled_.load(std::memory_order_acquire)) {
-      cancelled_runs_->inc();
-      throw stream_cancelled_error();
-    }
-#if BNB_OBS_COMPILED
-    BNB_OBS_TRACE_CHILD(item_scope,
-                        run_ctx.trace_id != 0 ? obs::new_trace_id() : 0,
-                        run_ctx.trace_id);
-#endif
-    try {
-      if (solve_hook_) solve_hook_(i);
-      CompiledBnb::Output out{};
-      if (small) {
-        // Register-resident lane: the flattened schedule lives on this
-        // stack frame (cache hits copy it by value), so the whole
-        // iteration is allocation-free once the scratch is warm.
-        SmallSchedule sched;
-        if (cache_ != nullptr) {
-          const PermutationDigest digest = digest_permutation(perms[i]);
-          if (cache_->find_small(digest, sched)) {
-            ++result.stats.cache_hits;
-          } else {
-            sched = plan_.compile_small(perms[i], scratch);
-            ++result.stats.solved;
-            cache_->insert_small(digest, sched);
-          }
-        } else {
-          sched = plan_.compile_small(perms[i], scratch);
-          ++result.stats.solved;
-        }
-        if (apply_hook_) apply_hook_(i);
-        out = plan_.apply_small(sched, perms[i], scratch);
-      } else if (cache_ != nullptr) {
-        const PermutationDigest digest = digest_permutation(perms[i]);
-        if (cache_->find(digest, local)) {
-          ++result.stats.cache_hits;
-        } else {
-          plan_.solve(perms[i], scratch, local);
-          ++result.stats.solved;
-          cache_->insert(digest, local);
-        }
-        if (apply_hook_) apply_hook_(i);
-        out = plan_.apply(local, perms[i], scratch);
+CompiledBnb::Output StreamEngine::route_item(std::size_t index, const Permutation& pi,
+                                             RouteScratch& scratch, ControlSchedule& schedule,
+                                             Stats& tally) const {
+  if (solve_hook_) solve_hook_(index);
+  if (plan_.small_capable()) {
+    // Register-resident lane: the flattened schedule lives on this stack
+    // frame (cache hits copy it by value), so the item is allocation-free
+    // once the scratch is warm.
+    SmallSchedule small;
+    if (cache_ != nullptr) {
+      const PermutationDigest digest = digest_permutation(pi);
+      if (cache_->find_small(digest, small)) {
+        ++tally.cache_hits;
       } else {
-        plan_.solve(perms[i], scratch, local);
-        ++result.stats.solved;
-        if (apply_hook_) apply_hook_(i);
-        out = plan_.apply(local, perms[i], scratch);
+        small = plan_.compile_small(pi, scratch);
+        ++tally.solved;
+        cache_->insert_small(digest, small);
       }
-      all_ok &= out.self_routed;
-      std::copy(out.dest.begin(), out.dest.end(), result.dest.begin() + i * n);
-    } catch (...) {
-      if (isolate_errors_) {
-        // Damage stays on this item: dest rows read zero, the stream goes on.
-        result.status[i] = StreamItemStatus::kFailed;
-        ++result.stats.failed;
-        continue;
-      }
-      ErrorLatch latch;
-      std::atomic<bool> unused{false};
-      latch.record(i, unused);
-      latch.rethrow(perms.size());
+    } else {
+      small = plan_.compile_small(pi, scratch);
+      ++tally.solved;
     }
+    if (apply_hook_) apply_hook_(index);
+    return plan_.apply_small(small, pi, scratch);
   }
-  result.stats.all_self_routed = all_ok;
-  return result;
+  // General lane: `schedule` is the worker's own, reused across its items,
+  // so solves and cache copy-outs are allocation-free once it has taken
+  // this plan's shape.
+  if (cache_ != nullptr) {
+    const PermutationDigest digest = digest_permutation(pi);
+    if (cache_->find(digest, schedule)) {
+      ++tally.cache_hits;
+    } else {
+      plan_.solve(pi, scratch, schedule);
+      ++tally.solved;
+      cache_->insert(digest, schedule);
+    }
+  } else {
+    plan_.solve(pi, scratch, schedule);
+    ++tally.solved;
+  }
+  if (apply_hook_) apply_hook_(index);
+  return plan_.apply(schedule, pi, scratch);
 }
 
-StreamEngine::Result StreamEngine::run_pipelined(std::span<const Permutation> perms) const {
+StreamEngine::Result StreamEngine::run_admitted(std::span<const Permutation> perms) const {
   const std::size_t n = plan_.inputs();
   Result result;
   result.stats.permutations = perms.size();
-  result.stats.threads_used = 2;  // one solver + one applier, regardless of asked-for extras
-  result.stats.pipelined = true;
   result.dest.resize(perms.size() * n);
   result.status.assign(perms.size(), StreamItemStatus::kOk);
   if (perms.empty()) {
@@ -380,230 +219,112 @@ StreamEngine::Result StreamEngine::run_pipelined(std::span<const Permutation> pe
     return result;
   }
 
-  SpscRing<StreamSlot> ring(ring_depth_);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> stalled{false};
-  ErrorLatch latch;
-  std::atomic<std::uint64_t> solver_solved{0};
-  std::atomic<std::uint64_t> solver_hits{0};
-  std::atomic<std::uint64_t> solver_high_water{0};
-  std::atomic<std::uint64_t> solver_done{0};  ///< items pushed, for stall diagnostics
+  BatchScheduler scheduler(perms.size(), threads_);
+  const unsigned workers = scheduler.workers();
+  std::vector<Stats> tallies(workers);
+  std::atomic<std::uint64_t> in_flight{0};
 
-  // WATCHDOG: both stages stamp last_progress after each retired item; a
-  // stage spinning on its ring longer than the timeout without seeing the
-  // stamp move declares the stream stalled (the other stage is stuck), sets
-  // stop, and the run fails with stream_stall_error after the join.  The
-  // join itself completes at the stuck stage's next stop check — a stage
-  // that never returns from user code (a hook or solve that truly hangs
-  // forever) is not interruptible in portable C++; the watchdog bounds
-  // every finite stall.
+  // WATCHDOG: a stall is a gap longer than the timeout between item
+  // retirements while items remain.  Every retirement checks the gap since
+  // the previous one before stamping its own, so the item that ends a
+  // stall declares it, even when every worker was stuck.  Nothing earlier
+  // could end the run: user code is not interruptible in portable C++, and
+  // run() must join the stuck worker before it throws.
   const bool watchdog = watchdog_timeout_ms_ > 0;
   const std::uint64_t timeout_ns = watchdog_timeout_ms_ * 1'000'000ULL;
-  std::atomic<std::uint64_t> last_progress{now_ns()};
-  const auto progressed = [&] {
-    if (watchdog) last_progress.store(now_ns(), std::memory_order_relaxed);
-  };
-  const auto stalled_now = [&] {
-    if (!watchdog) return false;
-    // Load the stamp BEFORE reading the clock: the other stage may advance
-    // last_progress between the two reads, and with the opposite order the
-    // unsigned subtraction underflows into an instant false stall.  The
-    // now > last guard absorbs any residual skew the same way.
-    const std::uint64_t last = last_progress.load(std::memory_order_relaxed);
-    const std::uint64_t now = now_ns();
-    return now > last && now - last > timeout_ns;
-  };
+  std::atomic<std::uint64_t> last_retire{now_ns()};
+  std::atomic<std::uint64_t> retired{0};
+  std::atomic<bool> stalled{false};
+  std::uint64_t stall_picked = 0;   // written once, by the worker that
+  std::uint64_t stall_retired = 0;  // declared the stall; read after join
 
-  // SOLVER stage (spawned): control-solve permutation k+1 while the applier
-  // is still delivering permutation k.
-  const bool small = plan_.small_capable();
 #if BNB_OBS_COMPILED
-  // The run() trace, captured on the calling thread so both stages can
-  // parent their per-item traces to it (TLS does not cross the spawn).
+  // The enclosing run() trace, captured on the calling thread so every
+  // worker can parent its per-item traces to it (TLS does not cross the
+  // spawn).  With more than one worker each item also records a queue-wait
+  // pseudo-span: admission to worker pickup.
   const obs::TraceContext run_ctx = obs::current_context();
+  const std::uint64_t admitted_ns = obs::now_ns();
+  const bool queue_waits = workers > 1;
 #endif
-  std::thread solver([&] {
+
+  scheduler.run([&](unsigned self) {
     RouteScratch scratch;
-    std::uint64_t solved = 0;
-    std::uint64_t hits = 0;
-    std::uint64_t high_water = 0;
-    const auto flush_counts = [&] {
-      solver_solved.store(solved, std::memory_order_relaxed);
-      solver_hits.store(hits, std::memory_order_relaxed);
-      solver_high_water.store(high_water, std::memory_order_relaxed);
-    };
-    // One slot reused across the whole stream: the swap-push hands back the
-    // ring's retired occupant, whose schedule buffers are already shaped —
-    // steady state solves into recirculated memory, allocation-free.
-    StreamSlot slot;
-    for (std::size_t i = 0; i < perms.size(); ++i) {
-      if (stop.load(std::memory_order_acquire) ||
-          cancelled_.load(std::memory_order_acquire)) {
+    ControlSchedule schedule;
+    Stats tally;
+    tally.all_self_routed = true;
+    BatchScheduler::Claim claim;
+    for (std::size_t i = 0; scheduler.next(claim, i);) {
+      if (cancelled_.load(std::memory_order_acquire)) {
+        scheduler.stop();
         break;
       }
-      slot.index = i;
-      slot.failed = false;
-      slot.small = SmallSchedule{};  // a stale small lane must not shadow general
+      tally.ring_high_water = std::max<std::uint64_t>(
+          tally.ring_high_water, in_flight.fetch_add(1, std::memory_order_relaxed) + 1);
+      {
 #if BNB_OBS_COMPILED
-      // One fresh child trace per stream item: the solve below runs inside
-      // it on this thread, and the id ships downstream in the slot so the
-      // applier's spans join the same trace.
-      slot.trace_id = run_ctx.trace_id != 0 ? obs::new_trace_id() : 0;
-      BNB_OBS_TRACE_CHILD(item_scope, slot.trace_id, run_ctx.trace_id);
+        BNB_OBS_TRACE_CHILD(item_scope, run_ctx.trace_id != 0 ? obs::new_trace_id() : 0,
+                            run_ctx.trace_id);
+        if (queue_waits && run_ctx.trace_id != 0 && obs::runtime_enabled()) {
+          const std::uint64_t picked = obs::now_ns();
+          obs::record_phase(obs::Phase::kQueueWait, admitted_ns,
+                            picked > admitted_ns ? picked - admitted_ns : 0);
+        }
 #endif
-      try {
-        if (solve_hook_) solve_hook_(i);
-        if (small) {
-          // Small lane: the flattened schedule rides the ring by value —
-          // no shared_ptr per permutation even on a cold stream.
-          if (cache_ != nullptr) {
-            const PermutationDigest digest = digest_permutation(perms[i]);
-            if (cache_->find_small(digest, slot.small)) {
-              ++hits;
-            } else {
-              slot.small = plan_.compile_small(perms[i], scratch);
-              ++solved;
-              cache_->insert_small(digest, slot.small);
-            }
+        try {
+          const CompiledBnb::Output out = route_item(i, perms[i], scratch, schedule, tally);
+          tally.all_self_routed &= out.self_routed;
+          std::copy(out.dest.begin(), out.dest.end(), result.dest.begin() + i * n);
+        } catch (...) {
+          if (isolate_errors_) {
+            // Damage stays on this item: dest rows read zero, the stream goes on.
+            result.status[i] = StreamItemStatus::kFailed;
+            ++tally.failed;
           } else {
-            slot.small = plan_.compile_small(perms[i], scratch);
-            ++solved;
+            scheduler.fail(i);
           }
-        } else if (cache_ != nullptr) {
-          const PermutationDigest digest = digest_permutation(perms[i]);
-          if (cache_->find(digest, slot.schedule)) {
-            ++hits;
-          } else {
-            plan_.solve(perms[i], scratch, slot.schedule);
-            ++solved;
-            cache_->insert(digest, slot.schedule);
-          }
-        } else {
-          plan_.solve(perms[i], scratch, slot.schedule);
-          ++solved;
         }
-      } catch (...) {
-        if (!isolate_errors_) {
-          latch.record(i, stop);
-          break;
-        }
-        // Isolation: ship the failure downstream so the applier retires
-        // the index as kFailed in stream order (the schedule keeps its
-        // buffers; `failed` gates the applier off it).
-        slot.schedule.set_solved(false);
-        slot.small = SmallSchedule{};
-        slot.failed = true;
       }
-#if BNB_OBS_COMPILED
-      // Queue-wait starts here: after the solve, before the push loop, so
-      // time spent spinning on a full ring (backpressure) counts as queue
-      // delay — exactly the contended-MIN dwell the trace should show.
-      slot.enqueue_ns = obs::now_ns();
-#endif
-      while (!ring.try_push(slot)) {
-        if (stop.load(std::memory_order_acquire) ||
-            cancelled_.load(std::memory_order_acquire)) {
-          flush_counts();
-          return;
+      if (watchdog) {
+        // Load the stamp BEFORE reading the clock: another worker may stamp
+        // between the two reads, and with the opposite order the unsigned
+        // subtraction underflows into an instant false stall.
+        const std::uint64_t last = last_retire.load(std::memory_order_relaxed);
+        const std::uint64_t now = now_ns();
+        if (now > last && now - last > timeout_ns &&
+            !stalled.exchange(true, std::memory_order_acq_rel)) {
+          stall_retired = retired.load(std::memory_order_relaxed);
+          stall_picked = stall_retired + in_flight.load(std::memory_order_relaxed);
+          scheduler.stop();
         }
-        if (stalled_now()) {
-          // The applier stopped draining: fail the stream, don't spin forever.
-          stalled.store(true, std::memory_order_release);
-          stop.store(true, std::memory_order_release);
-          flush_counts();
-          return;
-        }
-        std::this_thread::yield();
+        last_retire.store(now, std::memory_order_relaxed);
+        retired.fetch_add(1, std::memory_order_relaxed);
       }
-      solver_done.fetch_add(1, std::memory_order_relaxed);
-      progressed();
-      high_water = std::max(high_water, ring.size());  // producer-side: exact
+      in_flight.fetch_sub(1, std::memory_order_relaxed);
     }
-    flush_counts();
+    tallies[self] = tally;
   });
 
-  // APPLIER stage (calling thread): replay solved schedules in stream order.
-  RouteScratch scratch;
-  bool all_ok = true;
-  std::size_t applied = 0;
-  bool cancelled_hit = false;
-  // Reused across pops: try_pop swaps the previously-applied slot (shaped
-  // buffers and all) back into the ring for the solver to recycle.
-  StreamSlot slot;
-  while (applied < perms.size()) {
-    if (cancelled_.load(std::memory_order_acquire)) {
-      cancelled_hit = true;
-      break;
-    }
-    if (!ring.try_pop(slot)) {
-      if (stop.load(std::memory_order_acquire)) break;
-      if (stalled_now()) {
-        // The solver stopped producing: fail the stream, don't spin forever.
-        stalled.store(true, std::memory_order_release);
-        stop.store(true, std::memory_order_release);
-        break;
-      }
-      std::this_thread::yield();
-      continue;
-    }
-#if BNB_OBS_COMPILED
-    if (slot.trace_id != 0 && obs::runtime_enabled()) {
-      // Retire the queue-wait pseudo-span: enqueue stamp to pickup, under
-      // the ITEM's trace id (carried by the slot, not this thread's TLS).
-      const std::uint64_t picked = now_ns();
-      if (picked >= slot.enqueue_ns) {
-        obs::record_phase(obs::Phase::kQueueWait, slot.enqueue_ns,
-                          picked - slot.enqueue_ns, slot.trace_id,
-                          run_ctx.trace_id, obs::current_thread_id());
-      }
-    }
-#endif
-    if (slot.failed) {
-      result.status[slot.index] = StreamItemStatus::kFailed;
-      ++result.stats.failed;
-      ++applied;
-      progressed();
-      continue;
-    }
-    try {
-#if BNB_OBS_COMPILED
-      BNB_OBS_TRACE_CHILD(item_scope, slot.trace_id, run_ctx.trace_id);
-#endif
-      if (apply_hook_) apply_hook_(slot.index);
-      const CompiledBnb::Output out =
-          slot.small.solved()
-              ? plan_.apply_small(slot.small, perms[slot.index], scratch)
-              : plan_.apply(slot.schedule, perms[slot.index], scratch);
-      all_ok &= out.self_routed;
-      std::copy(out.dest.begin(), out.dest.end(), result.dest.begin() + slot.index * n);
-    } catch (...) {
-      if (!isolate_errors_) {
-        latch.record(slot.index, stop);
-        break;
-      }
-      result.status[slot.index] = StreamItemStatus::kFailed;
-      ++result.stats.failed;
-    }
-    ++applied;
-    progressed();
-  }
-  stop.store(true, std::memory_order_release);  // release a solver blocked on a full ring
-  solver.join();
-
-  if (latch.error) latch.rethrow(perms.size());
+  if (scheduler.failed()) scheduler.rethrow("stream_engine");
   if (stalled.load(std::memory_order_acquire)) {
     stalls_->inc();
-    throw stream_stall_error(solver_done.load(std::memory_order_relaxed), applied,
-                             perms.size(), watchdog_timeout_ms_);
+    throw stream_stall_error(stall_picked, stall_retired, perms.size(), watchdog_timeout_ms_);
   }
-  if (cancelled_hit || cancelled_.load(std::memory_order_acquire)) {
+  if (cancelled_.load(std::memory_order_acquire)) {
     cancelled_runs_->inc();
     throw stream_cancelled_error();
   }
-  result.stats.solved = solver_solved.load(std::memory_order_relaxed);
-  result.stats.cache_hits = solver_hits.load(std::memory_order_relaxed);
-  result.stats.ring_high_water = solver_high_water.load(std::memory_order_relaxed);
-  result.stats.all_self_routed = all_ok;
+  Stats& stats = result.stats;
+  stats.threads_used = workers;
+  stats.pipelined = workers > 1;
+  stats.all_self_routed = true;
+  for (const Stats& tally : tallies) {
+    stats.solved += tally.solved;
+    stats.cache_hits += tally.cache_hits;
+    stats.failed += tally.failed;
+    stats.ring_high_water = std::max(stats.ring_high_water, tally.ring_high_water);
+    stats.all_self_routed &= tally.all_self_routed;
+  }
   return result;
 }
 

@@ -1,26 +1,21 @@
-// Stage-overlapped streaming front end for the compiled engine.
+// Data-parallel streaming front end for the compiled engine.
 //
-// route_batch() parallelizes across whole permutations; StreamEngine instead
-// pipelines WITHIN the route the way the paper's fabric does (Eq. 9 assumes
-// the switches for frame k+1 settle while frame k drains): a SOLVER role
-// runs the arbiter-tree control solve for permutation k+1 while an APPLIER
-// role replays the already-solved schedule of permutation k, the two
-// connected by a lock-free SPSC ring buffer of solved schedules.
+// StreamEngine::run routes a span of permutations on the same scheduler as
+// CompiledBnb::route_batch (core/batch_scheduler.hpp): min(threads, items)
+// workers claim items through one atomic cursor and run each item end to
+// end with their own RouteScratch and ControlSchedule — hooks, digest,
+// cache find (or solve + insert), apply, and the dest-row copy.  Results are
+// written by index, so they are positional and bit-identical to
+// route_batch on the same span (tests/test_stream_engine.cpp proves it).
 //
-//   * threads = 2 (or Options::threads >= 2): the solver runs on a spawned
-//     worker, the applier on the calling thread; throughput approaches the
-//     slower of the two stages instead of their sum.
-//   * threads = 1 (or a 1-core host with threads=0 auto): graceful
-//     degeneration to an in-order solve+apply loop on the calling thread —
-//     same results, no ring, no spawn.
+//   * threads = 1: the one-worker case, in order on the calling thread.
+//   * threads = 0: auto, one worker per hardware thread.
 //   * Options::cache: an optional ScheduleCache consulted before solving;
-//     hits skip the solve stage entirely (repeated traffic streams at
-//     apply-only speed) and misses populate the cache.
-//   * SMALL LANE: plans with m <= SmallSchedule::kMaxM stream flattened
-//     SmallSchedules (core/small_schedule.hpp) by value — through the
-//     cache's small lane and the ring slots alike — so small-N traffic
-//     pays no shared_ptr allocation per permutation and replays in
-//     registers on the applier side.
+//     hits skip the solve entirely (repeated traffic streams at apply-only
+//     speed) and misses populate the cache.
+//   * SMALL LANE: plans with m <= SmallSchedule::kMaxM solve and cache
+//     flattened SmallSchedules (core/small_schedule.hpp) by value, so
+//     small-N traffic pays no shared_ptr allocation per permutation.
 //
 // RESILIENCE (docs/RELIABILITY.md).  The engine fails loudly and in
 // bounded time instead of blocking or dying with the batch:
@@ -34,34 +29,31 @@
 //     permutation k no longer kills permutations k+1..n.  The failing item
 //     is marked kFailed in Result::status (its dest rows read zero), the
 //     stream keeps going, and Stats::failed counts the damage.  With
-//     isolation off the historic first-error-wins contract holds: the
-//     first stage to throw records its permutation index, both stages
-//     drain, and the error is rethrown on the calling thread as
-//     batch_route_error (now carrying every failing index observed).
-//   * WATCHDOG: with Options::watchdog_timeout_ms, a pipelined stage that
-//     waits on its ring longer than the timeout without ANY stream
-//     progress declares the other stage stalled: the stream stops and
-//     run() throws stream_stall_error with a solved/applied diagnostic
-//     instead of spinning forever.  Pick a timeout well above the worst
-//     single-item latency; the chaos campaign proves the watchdog never
-//     fires spuriously on a healthy stream.  Inline (threads = 1) runs
-//     make progress by definition and never arm the watchdog.
+//     isolation off the first-error-wins contract holds: the workers drain
+//     and the error is rethrown on the calling thread as batch_route_error
+//     naming the lowest failing index (and every failing index observed).
+//   * WATCHDOG: with Options::watchdog_timeout_ms, the stream fails with
+//     stream_stall_error when no item retires for longer than the timeout
+//     while items remain: the worker whose item ends such a gap declares
+//     the stall, so it is reported even when every worker was stuck.  A
+//     worker stuck in user code is not interruptible in portable C++, so
+//     run() throws once the stuck item returns.  Pick a timeout well above
+//     the worst single-item latency; the chaos campaign proves the watchdog
+//     never fires spuriously on a healthy stream.
 //   * CANCEL/DRAIN: cancel() asks every in-flight run() to stop; those
-//     runs throw stream_cancelled_error at their next loop step.  The
-//     destructor cancels and then BLOCKS until every in-flight run has
-//     left the engine, so destroying a StreamEngine mid-stream neither
-//     hangs nor leaves a worker touching freed state (tsan-covered).
+//     runs throw stream_cancelled_error once their workers reach their next
+//     item.  The destructor cancels and then BLOCKS until every in-flight
+//     run has left the engine, so destroying a StreamEngine mid-stream
+//     neither hangs nor leaves a worker touching freed state (tsan-covered).
 //     A cancelled engine stays cancelled: later run() calls throw.
 //   * Options::solve_hook / apply_hook: per-index instrumentation points
-//     on the solver/applier stages for chaos and latency injection (the
-//     stall tests and bench_chaos drive them); they must return — a hook
-//     that never returns is a genuine hang no watchdog can cancel.
+//     before an item's solve and apply, for chaos and latency injection
+//     (the stall tests and bench_chaos drive them); they must return — a
+//     hook that never returns is a genuine hang no watchdog can cancel.
 //
-// Results are bit-identical to CompiledBnb::route_batch on the same span
-// (tests/test_stream_engine.cpp proves it), and an engine is immutable
-// after construction: run() keeps all mutable state on its own stack (the
-// lifecycle guard is the one shared word), so one StreamEngine may serve
-// concurrent run() calls.
+// An engine is immutable after construction: run() keeps all mutable state
+// on its own stack (the lifecycle guard is the one shared word), so one
+// StreamEngine may serve concurrent run() calls.
 #pragma once
 
 #include <cstddef>
@@ -94,14 +86,16 @@ class stream_overload_error : public std::runtime_error {
   std::size_t offered_;
 };
 
-/// The watchdog saw no stream progress for longer than
-/// Options::watchdog_timeout_ms while a stage was waiting on the ring:
-/// the other stage is stalled, and the stream failed instead of hanging.
+/// The watchdog saw no item retire for longer than
+/// Options::watchdog_timeout_ms while items remained: a worker is stalled,
+/// and the stream failed instead of hanging.
 class stream_stall_error : public std::runtime_error {
  public:
   stream_stall_error(std::size_t solved, std::size_t applied, std::size_t total,
                      std::uint64_t timeout_ms);
+  /// Items a worker had picked up when the stall was declared.
   [[nodiscard]] std::size_t solved() const noexcept { return solved_; }
+  /// Items retired (routed or failed) when the stall was declared.
   [[nodiscard]] std::size_t applied() const noexcept { return applied_; }
   [[nodiscard]] std::size_t total() const noexcept { return total_; }
 
@@ -129,13 +123,9 @@ enum class StreamItemStatus : std::uint8_t {
 class StreamEngine {
  public:
   struct Options {
-    /// 0 = auto (2 when the host has more than one hardware thread, else 1);
-    /// 1 = in-order inline loop; >= 2 = solver + applier pipeline (always
-    /// exactly one spawned worker — the pipeline has two stages).
+    /// Workers per run (at most the number of admitted items); 0 = auto,
+    /// std::thread::hardware_concurrency().  1 = in order on the caller.
     unsigned threads = 0;
-    /// SPSC ring capacity in solved schedules (rounded up to a power of
-    /// two, min 2).  Depth bounds how far the solver may run ahead.
-    std::size_t ring_depth = 8;
     /// Optional schedule cache consulted before each solve; nullptr = every
     /// permutation is solved cold.  Shared across engines/threads is fine.
     ScheduleCache* cache = nullptr;
@@ -148,11 +138,13 @@ class StreamEngine {
     /// Per-item error isolation: a failing permutation is marked kFailed
     /// and the stream continues (default: first-error-wins rethrow).
     bool isolate_errors = false;
-    /// Pipelined-stage stall detection in milliseconds; 0 = disabled.
+    /// Stall detection: longest gap between item retirements, in
+    /// milliseconds; 0 = disabled.
     std::uint64_t watchdog_timeout_ms = 0;
-    /// Chaos/test instrumentation, called with the stream index before the
-    /// stage's work for that item.  Must return; may throw (the throw is
-    /// treated exactly like the stage's own failure).
+    /// Chaos/test instrumentation, called on the item's worker with the
+    /// stream index before its solve (cache lookup included) and before its
+    /// apply.  Must return; may throw (the throw is treated exactly like
+    /// the item's own failure).
     std::function<void(std::size_t)> solve_hook;
     std::function<void(std::size_t)> apply_hook;
   };
@@ -161,11 +153,11 @@ class StreamEngine {
     std::uint64_t permutations = 0;  ///< offered to run() (admitted + shed)
     std::uint64_t solved = 0;       ///< cold arbiter-tree solves run
     std::uint64_t cache_hits = 0;   ///< schedules served from Options::cache
-    std::uint64_t ring_high_water = 0;  ///< max solved schedules queued (0 inline)
+    std::uint64_t ring_high_water = 0;  ///< most items in flight at once
     std::uint64_t failed = 0;       ///< items marked kFailed (isolate_errors)
     std::uint64_t shed = 0;         ///< items refused by admission control
-    unsigned threads_used = 1;
-    bool pipelined = false;         ///< true when solver/applier overlapped
+    unsigned threads_used = 1;      ///< workers that ran: min(threads, items)
+    bool pipelined = false;         ///< threads_used > 1
     bool all_self_routed = false;   ///< over delivered items only
   };
 
@@ -208,14 +200,14 @@ class StreamEngine {
  private:
   class ActiveRun;
 
-  Result run_admitted(std::span<const Permutation> perms, std::size_t offered) const;
-  Result run_inline(std::span<const Permutation> perms) const;
-  Result run_pipelined(std::span<const Permutation> perms) const;
+  Result run_admitted(std::span<const Permutation> perms) const;
+  CompiledBnb::Output route_item(std::size_t index, const Permutation& pi,
+                                 RouteScratch& scratch, ControlSchedule& schedule,
+                                 Stats& tally) const;
   void publish(const Stats& stats) const;
 
   const CompiledBnb& plan_;
   unsigned threads_;
-  std::size_t ring_depth_;
   ScheduleCache* cache_;
   std::size_t admission_limit_;
   bool isolate_errors_;

@@ -13,8 +13,8 @@
 //     Perfetto and chrome://tracing load): one ph:"X" complete event per
 //     span (ts/dur in microseconds, pid 1, tid = the span's dense thread
 //     id, args carrying the causal ids), thread_name/process_name
-//     metadata events, and ph:"s"/"t"/"f" flow events stitching each
-//     multi-thread trace id across the solver/applier handoff.
+//     metadata events, and ph:"s"/"t"/"f" flow events stitching each trace
+//     id whose spans landed on more than one thread.
 //
 // Both snapshot exporters emit the FULL metric catalog of the snapshot —
 // the golden tests in tests/test_obs.cpp parse the output back and verify

@@ -39,8 +39,8 @@ struct PhaseTable {
                             "register-resident small-N replay latency");
     histograms[static_cast<std::size_t>(Phase::kQueueWait)] =
         &registry.histogram("bnb_stream_queue_wait_ns",
-                            "stream-item dwell time in the SPSC ring between "
-                            "solver enqueue and applier pickup");
+                            "stream-item wait from run admission to worker "
+                            "pickup (multi-worker runs)");
     histograms[static_cast<std::size_t>(Phase::kCacheLookup)] =
         &registry.histogram("bnb_cache_lookup_ns",
                             "general-lane schedule cache probe latency "

@@ -16,8 +16,8 @@
 //   * PARENT links one trace to the trace that spawned it: a stream item's
 //     parent is the enclosing StreamEngine::run trace, so an exported
 //     trace reconstructs run -> item -> {solve, queue-wait, apply} even
-//     though the three spans land on two different threads (the id rides
-//     the SPSC ring inside the StreamSlot).
+//     though the item ran on a worker thread (the worker binds the item's
+//     id explicitly; the run's context is captured before the spawn).
 //   * THREAD IDS are small dense per-process ids (1, 2, ...), assigned on
 //     first use and cached thread-locally — stable tids for Chrome trace
 //     export without the platform's opaque 64-bit handles.

@@ -295,11 +295,11 @@ TEST(CompiledBnb, BatchValidatesInput) {
 }
 
 TEST(CompiledBnb, BatchWorkStealingCoversEveryChunkShape) {
-  // The chunked work-stealing scheduler must produce the same destinations
+  // The chunked batch scheduler must produce the same destinations
   // as sequential routing whatever the chunk geometry: more threads than
   // permutations (the oversubscription guard clamps the pool), prime batch
   // sizes that leave ragged final chunks, and enough chunks per worker that
-  // idle workers actually steal.
+  // early finishers keep claiming.
   const unsigned m = 5;
   const CompiledBnb engine(m);
   const std::size_t n = engine.inputs();

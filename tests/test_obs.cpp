@@ -899,8 +899,7 @@ TEST(Obs, StreamEngineReportsRingHighWater) {
   const CompiledBnb engine(3);
   MetricsRegistry reg;
   StreamEngine::Options options;
-  options.threads = 2;
-  options.ring_depth = 4;
+  options.threads = 4;
   options.registry = &reg;
   const StreamEngine stream(engine, options);
   Rng rng(13);
@@ -908,7 +907,9 @@ TEST(Obs, StreamEngineReportsRingHighWater) {
   for (int i = 0; i < 32; ++i) perms.push_back(random_perm(engine.inputs(), rng));
   const auto result = stream.run(perms);
   EXPECT_TRUE(result.stats.all_self_routed);
-  EXPECT_LE(result.stats.ring_high_water, 4u);
+  EXPECT_EQ(result.stats.threads_used, 4u);
+  EXPECT_GE(result.stats.ring_high_water, 1u);
+  EXPECT_LE(result.stats.ring_high_water, result.stats.threads_used);
   const auto snap = reg.snapshot();
   EXPECT_EQ(snap.find("bnb_stream_runs_total")->counter, 1u);
   EXPECT_EQ(snap.find("bnb_stream_permutations_total")->counter, 32u);

@@ -1,12 +1,13 @@
-// StreamEngine correctness: the stage-overlapped solver/applier pipeline
-// must deliver the same bits as CompiledBnb::route_batch — in-order inline
-// degeneration, the two-thread SPSC pipeline, and both again with a
+// StreamEngine correctness: the data-parallel stream must deliver the same
+// bits as CompiledBnb::route_batch — one worker on the calling thread, 2..8
+// workers on the shared batch scheduler, and all of them again with a
 // ScheduleCache attached (repeated traffic streams as hits) — and must
-// preserve route_batch's first-error-wins contract (the failing stream
-// index survives the pipeline).  The threaded cases double as the tsan
-// targets for the ring buffer.
+// keep route_batch's first-error-wins contract (the lowest failing stream
+// index is reported, deterministically).  The threaded cases double as the
+// tsan targets for the scheduler.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -15,6 +16,8 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -60,20 +63,25 @@ TEST(StreamEngine, InlineModeMatchesRouteBatch) {
 TEST(StreamEngine, PipelinedModeMatchesRouteBatch) {
   for (const unsigned m : {3U, 6U, 8U}) {
     const auto pool = random_pool(m, 32, 0x57E02 + m);
-    StreamEngine::Options options;
-    options.threads = 2;
-    options.ring_depth = 4;
-    expect_matches_route_batch(m, pool, options);
+    for (const unsigned threads : {2U, 3U, 4U, 8U}) {
+      StreamEngine::Options options;
+      options.threads = threads;
+      expect_matches_route_batch(m, pool, options);
+    }
   }
 }
 
 TEST(StreamEngine, PipelinedSurvivesTinyAndDeepRings) {
-  const auto pool = random_pool(5, 40, 0x57E03);
-  for (const std::size_t depth : {1UL, 2UL, 64UL}) {  // 1 rounds up to 2
-    StreamEngine::Options options;
-    options.threads = 2;
-    options.ring_depth = depth;
-    expect_matches_route_batch(5, pool, options);
+  // Streams shorter than the worker count, one chunk per worker, and many
+  // ragged chunks per worker.
+  const auto pool = random_pool(5, 41, 0x57E03);
+  for (const std::size_t length : {1UL, 3UL, 41UL}) {
+    const auto stream = std::span<const Permutation>(pool).first(length);
+    for (const unsigned threads : {2U, 3U, 4U, 8U}) {
+      StreamEngine::Options options;
+      options.threads = threads;
+      expect_matches_route_batch(5, stream, options);
+    }
   }
 }
 
@@ -89,25 +97,33 @@ TEST(StreamEngine, ThreadPolicyAndStatsAreReported) {
   EXPECT_EQ(inline_result.stats.solved, pool.size());
   EXPECT_EQ(inline_result.stats.cache_hits, 0U);
 
-  // Asking for more threads than the pipeline has stages still yields the
-  // two-stage solver/applier split.
-  StreamEngine wide_engine(plan, {.threads = 8});
-  const auto wide_result = wide_engine.run(pool);
-  EXPECT_TRUE(wide_result.stats.pipelined);
-  EXPECT_EQ(wide_result.stats.threads_used, 2U);
-  EXPECT_EQ(wide_result.stats.solved, pool.size());
+  // One worker per item up to the thread count: min(threads, items).
+  for (const unsigned threads : {2U, 4U, 8U, 16U}) {
+    StreamEngine wide_engine(plan, {.threads = threads});
+    const auto wide_result = wide_engine.run(pool);
+    const unsigned want = std::min<unsigned>(threads, static_cast<unsigned>(pool.size()));
+    EXPECT_EQ(wide_engine.threads(), threads);
+    EXPECT_EQ(wide_result.stats.threads_used, want) << "threads=" << threads;
+    EXPECT_TRUE(wide_result.stats.pipelined) << "threads=" << threads;
+    EXPECT_EQ(wide_result.stats.solved, pool.size());
+    EXPECT_GE(wide_result.stats.ring_high_water, 1U);
+    EXPECT_LE(wide_result.stats.ring_high_water, want);
+    const auto short_result = wide_engine.run(std::span<const Permutation>(pool).first(3));
+    EXPECT_EQ(short_result.stats.threads_used, std::min(threads, 3U));
+  }
 
-  // Auto (threads = 0) resolves to 1 or 2 depending on the host; either
-  // way the stream must route.
+  // Auto (threads = 0) resolves to one worker per hardware thread.
   StreamEngine auto_engine(plan);
-  EXPECT_GE(auto_engine.threads(), 1U);
-  EXPECT_LE(auto_engine.threads(), 2U);
-  EXPECT_EQ(auto_engine.run(pool).stats.permutations, pool.size());
+  EXPECT_EQ(auto_engine.threads(), std::max(std::thread::hardware_concurrency(), 1U));
+  const auto auto_result = auto_engine.run(pool);
+  EXPECT_EQ(auto_result.stats.permutations, pool.size());
+  EXPECT_EQ(auto_result.stats.threads_used,
+            std::min<unsigned>(auto_engine.threads(), static_cast<unsigned>(pool.size())));
 }
 
 TEST(StreamEngine, EmptyStreamIsTriviallyClean) {
   const CompiledBnb plan(4);
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine engine(plan, {.threads = threads});
     const auto result = engine.run({});
     EXPECT_TRUE(result.stats.all_self_routed);
@@ -121,7 +137,7 @@ TEST(StreamEngine, CacheTurnsRepeatedTrafficIntoHits) {
   const auto pool = random_pool(m, 16, 0x57E05);
   const BatchResult want = plan.route_batch(pool);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     ScheduleCache cache(64);
     StreamEngine::Options options;
     options.threads = threads;
@@ -147,7 +163,7 @@ TEST(StreamEngine, FirstErrorWinsNamesTheFailingIndex) {
   auto pool = random_pool(m, 12, 0x57E06);
   pool[7] = identity_perm(8);  // wrong size: the solver's contract trips
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine engine(plan, {.threads = threads});
     try {
       (void)engine.run(pool);
@@ -173,7 +189,7 @@ TEST(StreamEngine, IsolatedErrorsCarryPerIndexStatus) {
   pool[3] = identity_perm(8);  // wrong size: the solver's contract trips
   pool[9] = identity_perm(4);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     options.isolate_errors = true;
@@ -237,7 +253,7 @@ TEST(BatchRouteError, RecordsAdditionalFailedWorkers) {
 
 TEST(CompiledBnb, RouteBatchReportsEveryObservedWorkerFailure) {
   // Two poisoned items across a threaded batch: the pool throws once, the
-  // winning index is one of the bad ones, and every retained index is bad.
+  // reported index is the lowest bad one, and every retained index is bad.
   const unsigned m = 5;
   const CompiledBnb plan(m);
   Rng rng(0x57E0A);
@@ -250,7 +266,7 @@ TEST(CompiledBnb, RouteBatchReportsEveryObservedWorkerFailure) {
     (void)plan.route_batch(pool, /*threads=*/2);
     FAIL() << "wrong-size permutations must throw";
   } catch (const batch_route_error& e) {
-    EXPECT_TRUE(e.index() == 3U || e.index() == 9U);
+    EXPECT_EQ(e.index(), 3U);
     ASSERT_FALSE(e.failed_indices().empty());
     EXPECT_EQ(e.failed_indices().front(), e.index());
     EXPECT_EQ(e.additional_failures(), e.failed_indices().size() - 1);
@@ -267,7 +283,7 @@ TEST(StreamEngine, StrictAdmissionRefusesTheWholeStream) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 8, 0x57E0B);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     options.admission_limit = 5;
@@ -294,7 +310,7 @@ TEST(StreamEngine, IsolatingAdmissionShedsTheTail) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 8, 0x57E0C);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     options.admission_limit = 5;
@@ -324,9 +340,9 @@ TEST(StreamEngine, IsolatingAdmissionShedsTheTail) {
 // ---- watchdog -----------------------------------------------------------
 
 TEST(StreamEngine, WatchdogFailsAStalledSolverInsteadOfHanging) {
-  // A solver stuck in user code past the timeout: the applier declares the
-  // stream stalled and run() throws stream_stall_error — a diagnostic,
-  // not a hang.  (The stuck hook here is finite so the join completes.)
+  // An item stuck in user code past the timeout: the stream is declared
+  // stalled and run() throws stream_stall_error — a diagnostic, not a
+  // hang.  (The stuck hook here is finite so the join completes.)
   const unsigned m = 4;
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 6, 0x57E0D);
@@ -340,7 +356,7 @@ TEST(StreamEngine, WatchdogFailsAStalledSolverInsteadOfHanging) {
   StreamEngine engine(plan, options);
   try {
     (void)engine.run(pool);
-    FAIL() << "a stalled solver must fail the stream";
+    FAIL() << "a stalled item must fail the stream";
   } catch (const stream_stall_error& e) {
     EXPECT_EQ(e.total(), pool.size());
     EXPECT_LT(e.applied(), pool.size());
@@ -363,7 +379,7 @@ TEST(StreamEngine, CancelStopsAnInFlightRun) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 64, 0x57E0F);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     std::atomic<bool> started{false};
@@ -399,7 +415,7 @@ TEST(StreamEngine, DestructorDuringStreamCancelsAndJoins) {
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 64, 0x57E10);
 
-  for (const unsigned threads : {1U, 2U}) {
+  for (const unsigned threads : {1U, 2U, 4U}) {
     StreamEngine::Options options;
     options.threads = threads;
     std::atomic<bool> started{false};
@@ -428,10 +444,10 @@ TEST(StreamEngine, PipelinedItemsShareOneTraceAcrossTheHandoff) {
 #if !BNB_OBS_COMPILED
   GTEST_SKIP() << "BNB_OBS_OFF: spans and trace ids are compiled out";
 #else
-  // The acceptance shape of the causal-tracing work: every pipelined
-  // stream item must retire a solve, a queue-wait, and an apply span under
-  // ONE trace id, parented to the run's trace, with the solve and apply on
-  // different threads (the id rode the SPSC ring, not thread-local state).
+  // The acceptance shape of the causal-tracing work: every item of a
+  // multi-worker stream must retire a solve, a queue-wait, and an apply
+  // span under ONE trace id, parented to the run's trace, with the solve
+  // and apply on the same worker thread (items run end to end).
   const unsigned m = 12;  // general lane: solves go through kSolve spans
   const CompiledBnb plan(m);
   const auto pool = random_pool(m, 12, 0x57E0C);
@@ -440,12 +456,12 @@ TEST(StreamEngine, PipelinedItemsShareOneTraceAcrossTheHandoff) {
   obs::SpanTrace trace(4096);
   obs::set_trace(&trace);
   StreamEngine::Options options;
-  options.threads = 2;
-  options.ring_depth = 4;
+  options.threads = 4;
   const StreamEngine engine(plan, options);
   const auto result = engine.run(pool);
   obs::set_trace(nullptr);
   EXPECT_TRUE(result.stats.all_self_routed);
+  EXPECT_EQ(result.stats.threads_used, 4U);
 
   const auto spans = trace.snapshot();
   EXPECT_EQ(trace.dropped(), 0u);
@@ -490,8 +506,9 @@ TEST(StreamEngine, PipelinedItemsShareOneTraceAcrossTheHandoff) {
     EXPECT_EQ(item.solves, 1) << "trace " << trace_id;
     EXPECT_EQ(item.waits, 1) << "trace " << trace_id;
     EXPECT_EQ(item.applies, 1) << "trace " << trace_id;
-    EXPECT_NE(item.solve_tid, item.apply_tid)
-        << "solve and apply must land on the two pipeline threads";
+    EXPECT_NE(item.solve_tid, 0U) << "trace " << trace_id;
+    EXPECT_EQ(item.solve_tid, item.apply_tid)
+        << "an item's solve and apply run on one worker";
   }
   // The queue-wait histogram saw every item.
   EXPECT_GE(obs::phase_histogram(obs::Phase::kQueueWait).total_count(), pool.size());
@@ -526,14 +543,15 @@ TEST(StreamEngine, InlineItemsGetPerItemTracesWithoutQueueWaits) {
   }
   ASSERT_NE(run_id, 0u);
   // m=4 streams take the small lane: one apply_small span per item, each
-  // under its own child trace.  No ring, no queue-wait pseudo-spans.
+  // under its own child trace.  One worker queues nothing: no queue-wait
+  // pseudo-spans.
   EXPECT_EQ(item_ids.size(), pool.size());
   EXPECT_FALSE(saw_queue_wait);
 #endif
 }
 
 TEST(StreamEngine, SharedCacheAcrossEnginesAndRuns) {
-  // Two engines (inline and pipelined) over one cache: whichever runs
+  // Two engines (four workers and one) over one cache: whichever runs
   // first fills it, the other streams pure hits — and the outputs agree.
   const unsigned m = 7;
   const CompiledBnb plan(m);
@@ -541,7 +559,7 @@ TEST(StreamEngine, SharedCacheAcrossEnginesAndRuns) {
   const BatchResult want = plan.route_batch(pool);
 
   ScheduleCache cache(32);
-  StreamEngine first(plan, {.threads = 2, .cache = &cache});
+  StreamEngine first(plan, {.threads = 4, .cache = &cache});
   StreamEngine second(plan, {.threads = 1, .cache = &cache});
 
   const auto cold = first.run(pool);
@@ -550,6 +568,200 @@ TEST(StreamEngine, SharedCacheAcrossEnginesAndRuns) {
   EXPECT_EQ(warm.dest, want.dest);
   EXPECT_EQ(warm.stats.cache_hits, pool.size());
   EXPECT_EQ(cache.stats().entries, pool.size());
+}
+
+// ---- data-parallel scheduler --------------------------------------------
+
+TEST(StreamEngine, DifferentialAgainstRouteBatchAcrossThreadsAndCaches) {
+  // Every worker count, with no cache, a cold cache and a warm cache, must
+  // reproduce route_batch bit for bit; the cache counters must account
+  // for every item exactly once.
+  for (const unsigned m : {3U, 6U, 8U, 12U}) {
+    const CompiledBnb plan(m);
+    std::vector<Permutation> pool;
+    std::set<std::vector<std::uint32_t>> seen;
+    Rng rng(0x57E20 + m);
+    while (pool.size() < 16) {
+      Permutation pi = random_perm(plan.inputs(), rng);
+      const std::vector<std::uint32_t> image(pi.image().begin(), pi.image().end());
+      if (seen.insert(image).second) pool.push_back(std::move(pi));
+    }
+    for (const unsigned threads : {1U, 2U, 3U, 4U, 8U}) {
+      const BatchResult want = plan.route_batch(pool, threads);
+      const std::string label = "m=" + std::to_string(m) + " threads=" + std::to_string(threads);
+
+      const StreamEngine bare(plan, {.threads = threads});
+      const auto uncached = bare.run(pool);
+      EXPECT_EQ(uncached.dest, want.dest) << label;
+      EXPECT_EQ(uncached.stats.solved, pool.size()) << label;
+      EXPECT_EQ(uncached.stats.threads_used, std::min(threads, 16U)) << label;
+
+      ScheduleCache cache(64);
+      const StreamEngine cached(plan, {.threads = threads, .cache = &cache});
+      const auto cold = cached.run(pool);
+      EXPECT_EQ(cold.dest, want.dest) << label << " cold";
+      EXPECT_EQ(cold.stats.solved, pool.size()) << label << " cold";
+      EXPECT_EQ(cold.stats.cache_hits, 0U) << label << " cold";
+      const auto warm = cached.run(pool);
+      EXPECT_EQ(warm.dest, want.dest) << label << " warm";
+      EXPECT_EQ(warm.stats.solved, 0U) << label << " warm";
+      EXPECT_EQ(warm.stats.cache_hits, pool.size()) << label << " warm";
+      for (const auto* result : {&uncached, &cold, &warm}) {
+        EXPECT_EQ(result->stats.all_self_routed, want.all_self_routed) << label;
+        EXPECT_EQ(std::count(result->status.begin(), result->status.end(),
+                             StreamItemStatus::kOk),
+                  static_cast<std::ptrdiff_t>(pool.size()))
+            << label;
+      }
+    }
+  }
+}
+
+TEST(StreamEngine, TwoPoisonedItemsAtFourWorkers) {
+  const unsigned m = 6;
+  const std::size_t n = 64;
+  const CompiledBnb plan(m);
+  auto pool = random_pool(m, 64, 0x57E21);
+  pool[11] = identity_perm(8);  // wrong size: the solver's contract trips
+  pool[40] = identity_perm(16);
+
+  // Strict: whichever worker fails first, the lowest bad index is the one
+  // reported, with its own cause, and no healthy index is blamed.
+  for (int round = 0; round < 20; ++round) {
+    const StreamEngine engine(plan, {.threads = 4});
+    try {
+      (void)engine.run(pool);
+      FAIL() << "poisoned stream must throw";
+    } catch (const batch_route_error& e) {
+      EXPECT_EQ(e.index(), 11U) << "round " << round;
+      EXPECT_THROW(std::rethrow_exception(e.cause()), contract_violation);
+      ASSERT_FALSE(e.failed_indices().empty());
+      EXPECT_EQ(e.failed_indices().front(), 11U);
+      EXPECT_TRUE(std::is_sorted(e.failed_indices().begin(), e.failed_indices().end()));
+      for (const std::size_t idx : e.failed_indices()) {
+        EXPECT_TRUE(idx == 11U || idx == 40U) << "a healthy index was blamed: " << idx;
+      }
+      EXPECT_NE(std::string(e.what()).find("stream_engine: permutation 11 of 64"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+
+  // Isolating: exactly the two bad items fail, everything else delivers.
+  StreamEngine::Options options;
+  options.threads = 4;
+  options.isolate_errors = true;
+  const StreamEngine engine(plan, options);
+  const auto result = engine.run(pool);
+  EXPECT_EQ(result.stats.failed, 2U);
+  EXPECT_EQ(result.stats.threads_used, 4U);
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    const bool bad = i == 11 || i == 40;
+    ASSERT_EQ(result.status[i], bad ? StreamItemStatus::kFailed : StreamItemStatus::kOk)
+        << "i=" << i;
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(result.dest[i * n + j], bad ? 0U : pool[i](j)) << "i=" << i;
+    }
+  }
+}
+
+TEST(BatchRouteError, BothEntryPointsShareOneMessage) {
+  const unsigned m = 4;
+  const CompiledBnb plan(m);
+  auto pool = random_pool(m, 8, 0x57E22);
+
+  // Item 2 fails only after item 5 has (the pause lets item 5's worker
+  // record its failure first): two failures every time, and the lower
+  // one is still the one reported.
+  std::atomic<bool> five_failed{false};
+  StreamEngine::Options options;
+  options.threads = 4;
+  options.solve_hook = [&](std::size_t i) {
+    if (i == 5) {
+      five_failed.store(true, std::memory_order_release);
+      throw std::runtime_error("five");
+    }
+    if (i == 2) {
+      const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!five_failed.load(std::memory_order_acquire) &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+      throw std::runtime_error("two");
+    }
+  };
+  const StreamEngine engine(plan, options);
+  try {
+    (void)engine.run(pool);
+    FAIL() << "failing hooks must fail the stream";
+  } catch (const batch_route_error& e) {
+    EXPECT_EQ(e.index(), 2U);
+    EXPECT_EQ(e.failed_indices(), (std::vector<std::size_t>{2, 5}));
+    EXPECT_STREQ(e.what(), "stream_engine: permutation 2 of 8 threw: two "
+                           "(+1 more worker failure)");
+  }
+
+  pool[3] = identity_perm(8);
+  for (const unsigned threads : {1U, 4U}) {
+    try {
+      (void)plan.route_batch(pool, threads);
+      FAIL() << "poisoned batch must throw";
+    } catch (const batch_route_error& e) {
+      EXPECT_EQ(e.index(), 3U);
+      EXPECT_EQ(std::string(e.what()).rfind("route_batch: permutation 3 of 8 threw: ", 0), 0U)
+          << e.what();
+    }
+  }
+}
+
+TEST(StreamEngine, WatchdogFiresOnOneStuckItemAtFourWorkers) {
+  const unsigned m = 4;
+  const CompiledBnb plan(m);
+  const auto pool = random_pool(m, 32, 0x57E23);
+  obs::MetricsRegistry reg;
+
+  StreamEngine::Options options;
+  options.threads = 4;
+  options.registry = &reg;
+  options.watchdog_timeout_ms = 100;
+  options.solve_hook = [](std::size_t i) {
+    if (i == 5) std::this_thread::sleep_for(std::chrono::milliseconds(600));
+  };
+  const StreamEngine engine(plan, options);
+  try {
+    (void)engine.run(pool);
+    FAIL() << "one stuck item must fail the stream";
+  } catch (const stream_stall_error& e) {
+    EXPECT_EQ(e.total(), pool.size());
+    EXPECT_LT(e.applied(), pool.size());
+    EXPECT_GT(e.solved(), e.applied()) << "the stuck item was picked up, not retired";
+  }
+  EXPECT_EQ(reg.snapshot().find("bnb_stream_stalls_total")->counter, 1U);
+
+  // Every worker stuck at once: the first worker to retire after the gap
+  // declares the stall.
+  StreamEngine::Options all_stuck;
+  all_stuck.threads = 4;
+  all_stuck.watchdog_timeout_ms = 100;
+  all_stuck.apply_hook = [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  };
+  const StreamEngine stuck_engine(plan, all_stuck);
+  EXPECT_THROW((void)stuck_engine.run(std::span<const Permutation>(pool).first(4)),
+               stream_stall_error);
+}
+
+TEST(StreamEngine, WatchdogStaysQuietOnSlowProgressingItemsAtFourWorkers) {
+  const unsigned m = 5;
+  const auto pool = random_pool(m, 48, 0x57E24);
+  StreamEngine::Options options;
+  options.threads = 4;
+  options.watchdog_timeout_ms = 1000;
+  options.solve_hook = [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  };
+  expect_matches_route_batch(m, pool, options);
 }
 
 }  // namespace
