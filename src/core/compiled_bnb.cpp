@@ -430,13 +430,10 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
           for (unsigned a = 0; a < m_; ++a) sl[a * W + w] ^= bit;
         });
       }
-      // The fused column pass — switch exchange under ctl plus the
-      // `group`-line unshuffle — applied to every slice with the SAME
-      // control masks: O(q * N/64) masked word ops instead of O(N) moves.
-      const std::size_t chunk = col.group / 2;
-      for (unsigned slice = 0; slice < q; ++slice) {
-        ks_->slice_pass(sl + slice * W, n, ctl, chunk, tmp, sp + slice * W);
-      }
+      // The column pass — switch exchange under ctl plus the `group`-line
+      // unshuffle — applied to every slice with the SAME control masks:
+      // O(q * N/64) masked word ops instead of O(N) moves.
+      ks_->column_pass(sl, q, n, ctl, col.group / 2, tmp, sp);
       std::swap(sl, sp);
     }
   }
@@ -499,17 +496,9 @@ void CompiledBnb::solve_controls(const Permutation& pi, RouteScratch& s,
   std::uint64_t* tmp = s.slice_tmp_.data();
   schedule.prepare(*this);  // also re-shapes a slot a cache copy-out resized
 
-  // Pack the m address slices straight from pi: one 64x64 transpose per
-  // block of 64 lines, row a of the transposed block is address bit a of
-  // those lines.  Lines past n stay zero (zero tails).
-  std::uint64_t blk[64];
-  for (std::size_t b = 0; b < W; ++b) {
-    const std::size_t lines = std::min<std::size_t>(64, n - 64 * b);
-    for (std::size_t j = 0; j < lines; ++j) blk[j] = image[64 * b + j];
-    for (std::size_t j = lines; j < 64; ++j) blk[j] = 0;
-    bitpack::transpose_64x64(blk);
-    for (unsigned a = 0; a < m_; ++a) sl[a * W + b] = blk[a];
-  }
+  // Pack the m address slices straight from pi: slice a holds address bit
+  // a of every line, zero past n.
+  ks_->pack_address_slices(image, n, m_, sl);
 
   std::size_t col_idx = 0;
   for (unsigned stage = 0; stage < m_; ++stage) {
@@ -522,10 +511,9 @@ void CompiledBnb::solve_controls(const Permutation& pi, RouteScratch& s,
     for (unsigned j = 0; j < k; ++j, ++col_idx) {
       std::uint64_t* ctl = schedule.ctl_.data() + col_idx * schedule.control_words_;
       column_controls(col_idx, bits, ctl, s.work_.data());
-      const std::size_t chunk = columns_[col_idx].group / 2;
-      for (unsigned slice = 0; slice < addr_bit; ++slice) {
-        ks_->slice_pass(sl + slice * W, n, ctl, chunk, tmp, sp + slice * W);
-      }
+      // Slices 0..addr_bit-1 follow the switches; the pass writes nothing
+      // past them, so `bits` survives even when it lives in sp.
+      ks_->column_pass(sl, addr_bit, n, ctl, columns_[col_idx].group / 2, tmp, sp);
       std::swap(sl, sp);
     }
     // The BSN's last column is sp(1), whose switch inputs column_controls

@@ -21,8 +21,8 @@
 // neon; BNB_KERNELS overrides).  On the fault/trace datapath, tiers with
 // wide_datapath move the payload BIT-SLICED: instead of permuting N 64-bit
 // state words per column, the q = 2m address+index bit-slices are each
-// moved as packed words by the same fused exchange+unshuffle pass
-// (slice_pass) that already drives the address bits — O(N * q / 64) masked
+// moved as packed words by one exchange+unshuffle kernel call per column
+// (column_pass) that also drives the address bits — O(N * q / 64) masked
 // word operations per column instead of O(N) word moves, and the whole
 // working set shrinks from 8N bytes to qN/8.
 //
@@ -187,7 +187,7 @@ class RouteScratch {
                                        ///< [s * words_, ...); the clean
                                        ///< control path uses the first m
   std::vector<std::uint64_t> spare_slices_;  ///< double buffer for slices_
-  std::vector<std::uint64_t> slice_tmp_;     ///< slice_pass staging scratch
+  std::vector<std::uint64_t> slice_tmp_;     ///< column_pass spread controls
   std::vector<Word> outputs_;
   std::vector<std::uint32_t> dest_;
   ControlSchedule schedule_;  ///< the clean route() solves into here

@@ -1,9 +1,9 @@
 // Runtime-dispatched kernel layer for the compiled routing engine.
 //
 // Every hot word-parallel pass of CompiledBnb — the arbiter's compress and
-// interleave passes, the masked switch exchange, the unshuffle wiring, and
-// the fused bit-slice column pass of the wide datapath — is reached through
-// a KernelSet of function pointers.  One set per implementation tier:
+// interleave passes, the masked switch exchange, the unshuffle wiring, the
+// bit-slice column pass and the solve's address-slice pack — is reached
+// through a KernelSet of function pointers.  One set per implementation tier:
 //
 //   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) over
 //            the PER-LINE datapath — bit-identical to the pre-kernel engine
@@ -73,16 +73,28 @@ struct KernelSet {
   /// dst[w] ^= src[w] (fault bit-flip overlays).
   void (*xor_words)(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t words);
-  /// Fused wide-datapath column pass for ONE packed slice: switch exchange
-  /// under `ctl` followed by the chunk_bits unshuffle, i.e. exactly
-  ///   compress_even(in) / compress_odd(in) -> masked_exchange -> chunk_concat
-  /// in one sweep.  Requires nbits a multiple of 2*chunk_bits (every
-  /// CompiledBnb column satisfies this: group divides N).  `tmp` provides
-  /// words_for(nbits) words of scratch for implementations that stage the
-  /// compressed halves; in and out must not alias.
-  void (*slice_pass)(const std::uint64_t* in, std::size_t nbits,
-                     const std::uint64_t* ctl, std::size_t chunk_bits,
-                     std::uint64_t* tmp, std::uint64_t* out);
+  /// One splitter column applied to `slices` packed slices with the SAME
+  /// controls: slice s of `in` (words [s*W, (s+1)*W), W = words_for(nbits))
+  /// goes through the switch exchange under `ctl` (nbits/2 control bits)
+  /// and the chunk_bits unshuffle into slice s of `out`, i.e. exactly
+  ///   compress_even / compress_odd -> masked_exchange -> chunk_concat
+  /// per slice.  Requires nbits a multiple of 2*chunk_bits (every
+  /// CompiledBnb column satisfies this: group divides N).  Writes exactly
+  /// slices*W words of `out` and nothing past them; the output keeps the
+  /// zero tail of the input.  `tmp` provides W words of scratch: chunks of
+  /// up to 32 bits stage the controls there, spread to the line domain
+  /// (control bit t at line bit 2t), once per call.  `in`, `out`, `ctl`
+  /// and `tmp` must not alias.  slices == 0 touches nothing.
+  void (*column_pass)(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
+                      const std::uint64_t* ctl, std::size_t chunk_bits,
+                      std::uint64_t* tmp, std::uint64_t* out);
+  /// Address-slice pack for the controls-only solve: slice a (words
+  /// [a*W, (a+1)*W), W = words_for(n)) gets bit a of image[j] at line j,
+  /// for a < m (m <= 32).  Lines past n pack as zero (zero tail); image
+  /// bits at or above m are ignored.  Writes exactly m*W words of `slices`
+  /// and nothing past them; `image` and `slices` must not alias.
+  void (*pack_address_slices)(const std::uint32_t* image, std::size_t n, unsigned m,
+                              std::uint64_t* slices);
   /// Replay a flattened small-N schedule (core/small_schedule.hpp) over 8
   /// INDEPENDENT 64-line states in one instruction stream.  Step s swaps
   /// bits i and i+deltas[s] of every lane for each set bit i of masks[s]

@@ -1,14 +1,15 @@
 // AVX2 kernel tier: 4 packed words per step for the data-movement passes
-// (masked exchange, interleave, unshuffle, the fused wide-datapath column
-// pass), scalar PEXT for the half-width compress passes where a single
-// BMI2 instruction per word beats the 17-operation vector magic-mask
-// network.  Compiled with -mavx2 -mbmi2 only for this translation unit;
-// kernel_set.cpp gates execution behind a runtime CPUID/XGETBV check, so
-// linking this TU into a portable binary is safe.
+// (masked exchange, interleave, unshuffle, the wide-datapath column pass),
+// a sign-bit MOVMSKPS address pack, and scalar PEXT for the half-width
+// compress passes where a single BMI2 instruction per word beats the
+// 17-operation vector magic-mask network.  Compiled with -mavx2 -mbmi2
+// only for this translation unit; kernel_set.cpp gates execution behind a
+// runtime CPUID/XGETBV check, so linking this TU into a portable binary is
+// safe.
 //
-// Bit arithmetic mirrors core/bit_pack.hpp lane-for-lane: compress is the
-// magic-mask network, spread its mirror image, and tails that do not fill
-// a vector fall back to the shared scalar loops (scalar_core.hpp).
+// Bit arithmetic mirrors core/bit_pack.hpp and scalar_core.hpp
+// lane-for-lane, and tails that do not fill a vector fall back to the
+// shared scalar loops (scalar_core.hpp).
 #if defined(__AVX2__)
 
 #include <immintrin.h>
@@ -22,22 +23,6 @@ namespace {
 
 inline __m256i bcast(std::uint64_t v) {
   return _mm256_set1_epi64x(static_cast<long long>(v));
-}
-
-/// Per 64-bit lane: pack the 32 even-position bits into the low half.
-inline __m256i compress_even_lanes(__m256i x) {
-  x = _mm256_and_si256(x, bcast(0x5555555555555555ULL));
-  x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi64(x, 1)),
-                       bcast(0x3333333333333333ULL));
-  x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi64(x, 2)),
-                       bcast(0x0F0F0F0F0F0F0F0FULL));
-  x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi64(x, 4)),
-                       bcast(0x00FF00FF00FF00FFULL));
-  x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi64(x, 8)),
-                       bcast(0x0000FFFF0000FFFFULL));
-  x = _mm256_and_si256(_mm256_or_si256(x, _mm256_srli_epi64(x, 16)),
-                       bcast(0x00000000FFFFFFFFULL));
-  return x;
 }
 
 /// Per 64-bit lane: spread the low 32 bits at `chunk` granularity
@@ -154,42 +139,138 @@ void chunk_concat_k(const std::uint64_t* even, const std::uint64_t* odd,
                          static_cast<unsigned>(chunk_bits), out);
 }
 
-void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_t* ctl,
-                  std::size_t chunk_bits, std::uint64_t* tmp, std::uint64_t* out) {
-  if (chunk_bits <= 32) {
-    // Lane-local: word w's pairs are ctl's 32-bit half-word w, so the whole
-    // exchange+unshuffle stays inside each 64-bit lane.
-    const std::size_t words = bitpack::words_for(nbits);
-    const unsigned chunk = static_cast<unsigned>(chunk_bits);
-    const auto* ctl32 = reinterpret_cast<const std::uint32_t*>(ctl);
+/// x ^= swap of the bits under `mask` with the bits `D` above them.
+template <int D>
+inline __m256i delta_swap(__m256i x, std::uint64_t mask) {
+  const __m256i t =
+      _mm256_and_si256(_mm256_xor_si256(x, _mm256_srli_epi64(x, D)), bcast(mask));
+  return _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, D)));
+}
+
+/// Swaps unshuffle delta swaps per lane (scalar_core.hpp's masks).
+template <unsigned Swaps>
+inline __m256i unshuffle_lanes(__m256i x) {
+  if constexpr (Swaps > 0) x = delta_swap<1>(x, detail::kUnshuffleMasks[0]);
+  if constexpr (Swaps > 1) x = delta_swap<2>(x, detail::kUnshuffleMasks[1]);
+  if constexpr (Swaps > 2) x = delta_swap<4>(x, detail::kUnshuffleMasks[2]);
+  if constexpr (Swaps > 3) x = delta_swap<8>(x, detail::kUnshuffleMasks[3]);
+  if constexpr (Swaps > 4) x = delta_swap<16>(x, detail::kUnshuffleMasks[4]);
+  return x;
+}
+
+/// chunk_bits = 2^Swaps <= 32: every output word is its input word,
+/// exchanged under the spread controls c2 and unshuffled in its register
+/// (4 lanes of scalar_core.hpp's exchange_unshuffle64).
+template <unsigned Swaps>
+void column_words(const std::uint64_t* in, std::size_t slices, std::size_t words,
+                  const std::uint64_t* c2, std::uint64_t* out) {
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::uint64_t* src = in + s * words;
+    std::uint64_t* dst = out + s * words;
     std::size_t w = 0;
     for (; w + 4 <= words; w += 4) {
-      const __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + w));
-      const __m256i cw = _mm256_cvtepu32_epi64(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctl32 + w)));
-      __m256i e = compress_even_lanes(x);
-      __m256i o = compress_even_lanes(_mm256_srli_epi64(x, 1));
-      const __m256i t = _mm256_and_si256(_mm256_xor_si256(e, o), cw);
+      __m256i x = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + w));
+      const __m256i c = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(c2 + w));
+      const __m256i t = _mm256_and_si256(_mm256_xor_si256(x, _mm256_srli_epi64(x, 1)), c);
+      x = _mm256_xor_si256(x, _mm256_xor_si256(t, _mm256_slli_epi64(t, 1)));
+      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + w), unshuffle_lanes<Swaps>(x));
+    }
+    detail::column_words_scalar<Swaps>(src, c2, w, words, dst);
+  }
+}
+
+/// chunk_bits >= 64: 8 words fully unshuffled in-word (even lines low, odd
+/// lines high); a dword permute turns each 4-word vector into [even run
+/// words, odd run words] of its two word pairs, a 128-bit lane permute
+/// gathers 4 of each, and those exchange under 4 packed control words.
+/// Runs of 4+ words take them as whole vectors; runs of 1 or 2 words
+/// interleave them into 8 consecutive output words.
+void column_runs(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
+                 const std::uint64_t* ctl, std::size_t run, std::uint64_t* out) {
+  const std::size_t words = bitpack::words_for(nbits);
+  const std::size_t pairs = nbits / 128;
+  const __m256i split = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::uint64_t* src = in + s * words;
+    std::uint64_t* dst = out + s * words;
+    std::size_t i = 0;
+    for (; i + 4 <= pairs; i += 4) {
+      const auto* p = reinterpret_cast<const __m256i*>(src + 2 * i);
+      // a = [e_i, e_i+1, o_i, o_i+1], b = the same for pairs i+2, i+3.
+      const __m256i a =
+          _mm256_permutevar8x32_epi32(unshuffle_lanes<5>(_mm256_loadu_si256(p)), split);
+      const __m256i b =
+          _mm256_permutevar8x32_epi32(unshuffle_lanes<5>(_mm256_loadu_si256(p + 1)), split);
+      __m256i e = _mm256_permute2x128_si256(a, b, 0x20);
+      __m256i o = _mm256_permute2x128_si256(a, b, 0x31);
+      const __m256i t = _mm256_and_si256(
+          _mm256_xor_si256(e, o),
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ctl + i)));
       e = _mm256_xor_si256(e, t);
       o = _mm256_xor_si256(o, t);
-      const __m256i res = _mm256_or_si256(
-          spread_chunks_lanes(e, chunk),
-          _mm256_slli_epi64(spread_chunks_lanes(o, chunk),
-                            static_cast<int>(chunk)));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + w), res);
+      auto* d = reinterpret_cast<__m256i*>(dst + 2 * i);
+      if (run >= 4) {
+        const std::size_t base = (i / run) * 2 * run + i % run;
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + base), e);
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + base + run), o);
+      } else if (run == 2) {
+        _mm256_storeu_si256(d, _mm256_permute2x128_si256(e, o, 0x20));
+        _mm256_storeu_si256(d + 1, _mm256_permute2x128_si256(e, o, 0x31));
+      } else {
+        const __m256i lo = _mm256_unpacklo_epi64(e, o);  // [e_i, o_i, e_i+2, o_i+2]
+        const __m256i hi = _mm256_unpackhi_epi64(e, o);  // [e_i+1, o_i+1, e_i+3, o_i+3]
+        _mm256_storeu_si256(d, _mm256_permute2x128_si256(lo, hi, 0x20));
+        _mm256_storeu_si256(d + 1, _mm256_permute2x128_si256(lo, hi, 0x31));
+      }
     }
-    detail::slice_pass_small_scalar(in, w, words, ctl, chunk, out);
-    return;
+    detail::column_runs_scalar(src, ctl, i, pairs, run, dst);
   }
-  // Whole-word chunks: stage the compressed halves in tmp (PEXT compress +
-  // vector exchange), then lay the runs out; the copies are memory-bound.
-  const std::size_t half_words = bitpack::words_for(nbits / 2);
-  std::uint64_t* e = tmp;
-  std::uint64_t* o = tmp + half_words;
-  bitpack::compress_even(in, nbits, e);
-  bitpack::compress_odd(in, nbits, o);
-  masked_exchange_k(e, o, ctl, half_words);
-  bitpack::chunk_concat(e, o, nbits / 2, chunk_bits, out);
+}
+
+void column_pass_k(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
+                   const std::uint64_t* ctl, std::size_t chunk_bits, std::uint64_t* tmp,
+                   std::uint64_t* out) {
+  if (chunk_bits >= 64) return column_runs(in, slices, nbits, ctl, chunk_bits / 64, out);
+  if (slices == 0) return;
+  // Spread the controls once per column: half-word w of ctl -> word w.
+  const std::size_t words = bitpack::words_for(nbits);
+  const auto* ctl32 = reinterpret_cast<const std::uint32_t*>(ctl);
+  std::size_t w = 0;
+  for (; w + 4 <= words; w += 4) {
+    const __m256i c = _mm256_cvtepu32_epi64(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(ctl32 + w)));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(tmp + w), spread_chunks_lanes(c, 1));
+  }
+  detail::spread_controls_scalar(ctl, w, words, tmp);
+  detail::with_unshuffle_swaps(chunk_bits, [&](auto swaps) {
+    column_words<swaps>(in, slices, words, tmp, out);
+  });
+}
+
+// Address-slice pack: 8 lines per YMM; shifting address bit a to each
+// lane's sign bit lets one VMOVMSKPS read 8 bits of its slice word, 8 of
+// them fill the word of a 64-line block.  A partial last block takes the
+// scalar transpose.
+void pack_address_slices_k(const std::uint32_t* image, std::size_t n, unsigned m,
+                           std::uint64_t* slices) {
+  const std::size_t words = bitpack::words_for(n);
+  const std::size_t full = n / 64;
+  for (std::size_t b = 0; b < full; ++b) {
+    const auto* lines = reinterpret_cast<const __m256i*>(image + 64 * b);
+    __m256i v[8];
+    for (unsigned k = 0; k < 8; ++k) v[k] = _mm256_loadu_si256(lines + k);
+    for (unsigned a = 0; a < m; ++a) {
+      const __m128i to_sign = _mm_cvtsi32_si128(static_cast<int>(31 - a));
+      std::uint64_t word = 0;
+      for (unsigned k = 0; k < 8; ++k) {
+        const auto bits = static_cast<std::uint64_t>(static_cast<unsigned>(
+            _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_sll_epi32(v[k], to_sign)))));
+        word |= bits << (8 * k);
+      }
+      slices[a * words + b] = word;
+    }
+  }
+  detail::pack_address_blocks_scalar(image, n, m, full, words, slices);
 }
 
 // Small-schedule replay: the 8 independent 64-line states split across two
@@ -226,7 +307,8 @@ const KernelSet kAvx2Set{"avx2",
                          &chunk_concat_k,
                          &masked_exchange_k,
                          &xor_words_k,
-                         &slice_pass_k,
+                         &column_pass_k,
+                         &pack_address_slices_k,
                          &small_apply8_k};
 }  // namespace detail
 

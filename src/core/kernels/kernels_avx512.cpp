@@ -3,7 +3,9 @@
 // two instructions and VPERMT2D packing compressed half-words across
 // vectors in one shuffle.  Unlike the AVX2 tier this vectorizes the
 // half-width compress passes too — 8 lanes amortize the network where 4 do
-// not beat scalar PEXT.  Compiled with AVX-512 flags only for this TU;
+// not beat scalar PEXT.  The column pass runs its delta swaps as two
+// VPTERNLOGQ each, and the address pack is one VPTESTMD per address bit
+// per 16 lines.  Compiled with AVX-512 flags only for this TU;
 // kernel_set.cpp gates execution behind runtime CPUID/XGETBV checks.
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__)
@@ -20,6 +22,7 @@ namespace {
 // VPTERNLOGQ immediates: f(a,b,c) bit at position (a<<2 | b<<1 | c).
 constexpr int kOrAnd = 0xA8;   // (a | b) & c
 constexpr int kXorAnd = 0x28;  // (a ^ b) & c
+constexpr int kXor3 = 0x96;    // a ^ b ^ c
 
 inline __m512i bcast(std::uint64_t v) {
   return _mm512_set1_epi64(static_cast<long long>(v));
@@ -187,40 +190,138 @@ void chunk_concat_k(const std::uint64_t* even, const std::uint64_t* odd,
                            static_cast<unsigned>(chunk_bits), out);
 }
 
-void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_t* ctl,
-                  std::size_t chunk_bits, std::uint64_t* tmp, std::uint64_t* out) {
-  if (chunk_bits <= 32) {
-    const std::size_t words = bitpack::words_for(nbits);
-    const unsigned chunk = static_cast<unsigned>(chunk_bits);
-    const auto* ctl32 = reinterpret_cast<const std::uint32_t*>(ctl);
+/// x ^= swap of the bits under `mask` with the bits `D` above them.
+template <int D>
+inline __m512i delta_swap(__m512i x, std::uint64_t mask) {
+  const __m512i t = _mm512_ternarylogic_epi64(x, _mm512_srli_epi64(x, D), bcast(mask),
+                                              kXorAnd);
+  return _mm512_ternarylogic_epi64(x, t, _mm512_slli_epi64(t, D), kXor3);
+}
+
+/// Swaps unshuffle delta swaps per lane (scalar_core.hpp's masks).
+template <unsigned Swaps>
+inline __m512i unshuffle_lanes(__m512i x) {
+  if constexpr (Swaps > 0) x = delta_swap<1>(x, detail::kUnshuffleMasks[0]);
+  if constexpr (Swaps > 1) x = delta_swap<2>(x, detail::kUnshuffleMasks[1]);
+  if constexpr (Swaps > 2) x = delta_swap<4>(x, detail::kUnshuffleMasks[2]);
+  if constexpr (Swaps > 3) x = delta_swap<8>(x, detail::kUnshuffleMasks[3]);
+  if constexpr (Swaps > 4) x = delta_swap<16>(x, detail::kUnshuffleMasks[4]);
+  return x;
+}
+
+/// chunk_bits = 2^Swaps <= 32: every output word is its input word,
+/// exchanged under the spread controls c2 and unshuffled in its register
+/// (8 lanes of scalar_core.hpp's exchange_unshuffle64).
+template <unsigned Swaps>
+void column_words(const std::uint64_t* in, std::size_t slices, std::size_t words,
+                  const std::uint64_t* c2, std::uint64_t* out) {
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::uint64_t* src = in + s * words;
+    std::uint64_t* dst = out + s * words;
     std::size_t w = 0;
     for (; w + 8 <= words; w += 8) {
-      const __m512i x = _mm512_loadu_si512(in + w);
-      const __m512i cw = _mm512_cvtepu32_epi64(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ctl32 + w)));
-      __m512i e = compress_even_lanes(x);
-      __m512i o = compress_even_lanes(_mm512_srli_epi64(x, 1));
-      const __m512i t = _mm512_ternarylogic_epi64(e, o, cw, kXorAnd);
+      const __m512i x = _mm512_loadu_si512(src + w);
+      const __m512i t = _mm512_ternarylogic_epi64(x, _mm512_srli_epi64(x, 1),
+                                                  _mm512_loadu_si512(c2 + w), kXorAnd);
+      _mm512_storeu_si512(dst + w, unshuffle_lanes<Swaps>(_mm512_ternarylogic_epi64(
+                                       x, t, _mm512_slli_epi64(t, 1), kXor3)));
+    }
+    detail::column_words_scalar<Swaps>(src, c2, w, words, dst);
+  }
+}
+
+/// chunk_bits >= 64: 16 words fully unshuffled in-word (even lines low, odd
+/// lines high), then one VPERMT2D each gathers the 8 even and the 8 odd run
+/// words (word pair 2i, 2i+1 -> run word i), which exchange under 8 packed
+/// control words.  Runs of 8+ words take them as whole vectors; runs of 1,
+/// 2 or 4 words interleave them into 16 consecutive output words.
+void column_runs(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
+                 const std::uint64_t* ctl, std::size_t run, std::uint64_t* out) {
+  const std::size_t words = bitpack::words_for(nbits);
+  const std::size_t pairs = nbits / 128;
+  const __m512i odd_idx = _mm512_setr_epi32(1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23,
+                                            25, 27, 29, 31);
+  // Runs under 8 words: output word p of the 16 is the even (index < 8) or
+  // odd (index 8 + k) run word that group p / (2 * run) holds there.
+  alignas(64) std::uint64_t lo_idx[8];
+  alignas(64) std::uint64_t hi_idx[8];
+  for (std::size_t p = 0; p < 16 && run < 8; ++p) {
+    const std::size_t g = p / (2 * run);
+    const std::size_t within = p % (2 * run);
+    const std::uint64_t src =
+        within < run ? g * run + within : 8 + g * run + within - run;
+    (p < 8 ? lo_idx[p] : hi_idx[p - 8]) = src;
+  }
+  const __m512i lo_perm = run < 8 ? _mm512_load_si512(lo_idx) : _mm512_setzero_si512();
+  const __m512i hi_perm = run < 8 ? _mm512_load_si512(hi_idx) : _mm512_setzero_si512();
+  for (std::size_t s = 0; s < slices; ++s) {
+    const std::uint64_t* src = in + s * words;
+    std::uint64_t* dst = out + s * words;
+    std::size_t i = 0;
+    for (; i + 8 <= pairs; i += 8) {
+      const __m512i x0 = unshuffle_lanes<5>(_mm512_loadu_si512(src + 2 * i));
+      const __m512i x1 = unshuffle_lanes<5>(_mm512_loadu_si512(src + 2 * i + 8));
+      __m512i e = pack_low_halves(x0, x1);
+      __m512i o = _mm512_permutex2var_epi32(x0, odd_idx, x1);
+      const __m512i t = _mm512_ternarylogic_epi64(e, o, _mm512_loadu_si512(ctl + i), kXorAnd);
       e = _mm512_xor_si512(e, t);
       o = _mm512_xor_si512(o, t);
-      const __m512i res =
-          _mm512_or_si512(spread_chunks_lanes(e, chunk),
-                          _mm512_slli_epi64(spread_chunks_lanes(o, chunk),
-                                            static_cast<int>(chunk)));
-      _mm512_storeu_si512(out + w, res);
+      if (run >= 8) {
+        const std::size_t base = (i / run) * 2 * run + i % run;
+        _mm512_storeu_si512(dst + base, e);
+        _mm512_storeu_si512(dst + base + run, o);
+      } else {
+        _mm512_storeu_si512(dst + 2 * i, _mm512_permutex2var_epi64(e, lo_perm, o));
+        _mm512_storeu_si512(dst + 2 * i + 8, _mm512_permutex2var_epi64(e, hi_perm, o));
+      }
     }
-    detail::slice_pass_small_scalar(in, w, words, ctl, chunk, out);
-    return;
+    detail::column_runs_scalar(src, ctl, i, pairs, run, dst);
   }
-  // Whole-word chunks: vector-compress the halves into tmp, exchange, then
-  // lay out the runs (memory-bound copies).
-  const std::size_t half_words = bitpack::words_for(nbits / 2);
-  std::uint64_t* e = tmp;
-  std::uint64_t* o = tmp + half_words;
-  compress_even_k(in, nbits, e);
-  compress_odd_k(in, nbits, o);
-  masked_exchange_k(e, o, ctl, half_words);
-  bitpack::chunk_concat(e, o, nbits / 2, chunk_bits, out);
+}
+
+void column_pass_k(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
+                   const std::uint64_t* ctl, std::size_t chunk_bits, std::uint64_t* tmp,
+                   std::uint64_t* out) {
+  if (chunk_bits >= 64) return column_runs(in, slices, nbits, ctl, chunk_bits / 64, out);
+  if (slices == 0) return;
+  // Spread the controls once per column: half-word w of ctl -> word w.
+  const std::size_t words = bitpack::words_for(nbits);
+  const auto* ctl32 = reinterpret_cast<const std::uint32_t*>(ctl);
+  std::size_t w = 0;
+  for (; w + 8 <= words; w += 8) {
+    const __m512i c = _mm512_cvtepu32_epi64(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ctl32 + w)));
+    _mm512_storeu_si512(tmp + w, spread_chunks_lanes(c, 1));
+  }
+  detail::spread_controls_scalar(ctl, w, words, tmp);
+  detail::with_unshuffle_swaps(chunk_bits, [&](auto swaps) {
+    column_words<swaps>(in, slices, words, tmp, out);
+  });
+}
+
+// Address-slice pack: 16 lines per ZMM, so one VPTESTMD per address bit
+// yields 16 bits of its slice word; 4 of them fill the word of a 64-line
+// block.  A partial last block takes the scalar transpose.
+void pack_address_slices_k(const std::uint32_t* image, std::size_t n, unsigned m,
+                           std::uint64_t* slices) {
+  const std::size_t words = bitpack::words_for(n);
+  const std::size_t full = n / 64;
+  for (std::size_t b = 0; b < full; ++b) {
+    const std::uint32_t* lines = image + 64 * b;
+    const __m512i v0 = _mm512_loadu_si512(lines);
+    const __m512i v1 = _mm512_loadu_si512(lines + 16);
+    const __m512i v2 = _mm512_loadu_si512(lines + 32);
+    const __m512i v3 = _mm512_loadu_si512(lines + 48);
+    for (unsigned a = 0; a < m; ++a) {
+      const __m512i bit = _mm512_set1_epi32(static_cast<int>(1U << a));
+      const std::uint64_t k0 = _mm512_test_epi32_mask(v0, bit);
+      const std::uint64_t k1 = _mm512_test_epi32_mask(v1, bit);
+      const std::uint64_t k2 = _mm512_test_epi32_mask(v2, bit);
+      const std::uint64_t k3 = _mm512_test_epi32_mask(v3, bit);
+      slices[a * words + b] = k0 | (k1 << 16) | (k2 << 32) | (k3 << 48);
+    }
+  }
+  detail::pack_address_blocks_scalar(image, n, m, full, words, slices);
 }
 
 // Small-schedule replay: one ZMM register holds all 8 independent 64-line
@@ -253,7 +354,8 @@ const KernelSet kAvx512Set{"avx512",
                            &chunk_concat_k,
                            &masked_exchange_k,
                            &xor_words_k,
-                           &slice_pass_k,
+                           &column_pass_k,
+                           &pack_address_slices_k,
                            &small_apply8_k};
 }  // namespace detail
 

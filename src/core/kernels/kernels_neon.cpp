@@ -57,7 +57,8 @@ const KernelSet kNeonSet{"neon",
                          kScalarSet.chunk_concat,
                          &masked_exchange_k,
                          &xor_words_k,
-                         kWideSet.slice_pass,
+                         kWideSet.column_pass,
+                         kWideSet.pack_address_slices,
                          // 128-bit lanes gain nothing over the unrolled
                          // scalar step loop for the small-schedule replay.
                          kScalarSet.small_apply8};

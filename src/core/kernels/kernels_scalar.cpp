@@ -47,22 +47,35 @@ void xor_words_k(std::uint64_t* dst, const std::uint64_t* src, std::size_t words
   for (std::size_t w = 0; w < words; ++w) dst[w] ^= src[w];
 }
 
-// Fused column pass for one packed slice: exchange + unshuffle without
-// materializing the compressed halves.  Both shapes keep every output word
-// a pure function of one or two input words plus its ctl bits; the loops
-// live in scalar_core.hpp because the SIMD tiers reuse them for tails.
-void slice_pass_k(const std::uint64_t* in, std::size_t nbits, const std::uint64_t* ctl,
-                  std::size_t chunk_bits, std::uint64_t* /*tmp*/, std::uint64_t* out) {
-  if (chunk_bits <= 32) {
-    // Groups fit in a word: out[w] depends on in[w] and ctl half-word w.
-    detail::slice_pass_small_scalar(in, 0, bitpack::words_for(nbits), ctl,
-                                    static_cast<unsigned>(chunk_bits), out);
+// Column pass over `slices` packed slices.  Chunks of a word or less: the
+// controls are spread into the line domain once, then every slice word is
+// exchanged and unshuffled by delta swaps in its register.  Whole-word
+// chunks: each word pair compresses to its even and odd run words.  The
+// loops live in scalar_core.hpp because the SIMD tiers reuse them for tails.
+void column_pass_k(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
+                   const std::uint64_t* ctl, std::size_t chunk_bits, std::uint64_t* tmp,
+                   std::uint64_t* out) {
+  const std::size_t words = bitpack::words_for(nbits);
+  if (chunk_bits >= 64) {
+    // nbits % (2 * chunk_bits) == 0 makes every run whole.
+    for (std::size_t s = 0; s < slices; ++s) {
+      detail::column_runs_scalar(in + s * words, ctl, 0, nbits / 128, chunk_bits / 64,
+                                 out + s * words);
+    }
     return;
   }
-  // Whole-word chunks: compressed word i (pairs 64i..64i+63) lands in run
-  // r = i % run of chunk g = i / run; evens fill the group's first run,
-  // odds the second.  nbits % (2 * chunk_bits) == 0 makes every run whole.
-  detail::slice_pass_runs_scalar(in, 0, nbits / 128, ctl, chunk_bits / 64, out);
+  if (slices == 0) return;
+  detail::spread_controls_scalar(ctl, 0, words, tmp);
+  detail::with_unshuffle_swaps(chunk_bits, [&](auto swaps) {
+    for (std::size_t s = 0; s < slices; ++s) {
+      detail::column_words_scalar<swaps>(in + s * words, tmp, 0, words, out + s * words);
+    }
+  });
+}
+
+void pack_address_slices_k(const std::uint32_t* image, std::size_t n, unsigned m,
+                           std::uint64_t* slices) {
+  detail::pack_address_blocks_scalar(image, n, m, 0, bitpack::words_for(n), slices);
 }
 
 // Small-schedule replay over 8 independent lanes: step-outer order loads
@@ -92,7 +105,8 @@ constexpr KernelSet make_set(const char* name, Tier tier, bool wide) {
                    &chunk_concat_k,
                    &masked_exchange_k,
                    &xor_words_k,
-                   &slice_pass_k,
+                   &column_pass_k,
+                   &pack_address_slices_k,
                    &small_apply8_k};
 }
 

@@ -493,35 +493,84 @@ TEST(CompiledBnb, BatchMatchesPerRouteDestAcrossTiersAtM13) {
   }
 }
 
-TEST(CompiledBnb, CleanPathRefusesADeliveryItCannotProve) {
-  // A slice pass that loses the moved address slices leaves the later
-  // stages sorting all-zero bits: the first later BSN's output pairs then
-  // hold two equal bits, the per-BSN check fails, and no entry point may
-  // return the unproven delivery.
-  kernels::KernelSet broken = kernels::active_kernels();
-  broken.slice_pass = [](const std::uint64_t*, std::size_t nbits, const std::uint64_t*,
-                         std::size_t, std::uint64_t*, std::uint64_t* out) {
-    std::fill(out, out + bitpack::words_for(nbits), std::uint64_t{0});
-  };
-  const unsigned m = 8;
+/// solve, route and route_batch on a plan bound to `broken` must each
+/// refuse pi: no entry point may return a delivery its per-BSN checks
+/// could not prove.
+void expect_every_entry_point_refuses(const kernels::KernelSet& broken, unsigned m,
+                                      const Permutation& pi, const std::string& label) {
   const CompiledBnb engine(m, &broken);
-  Rng rng(0xB40C);
-  const Permutation pi = random_perm(engine.inputs(), rng);
-
   RouteScratch scratch;
   ControlSchedule schedule;
-  EXPECT_THROW(engine.solve(pi, scratch, schedule), contract_violation);
-  EXPECT_FALSE(schedule.solved());
-  EXPECT_THROW((void)engine.route(pi, scratch), contract_violation);
+  EXPECT_THROW(engine.solve(pi, scratch, schedule), contract_violation) << label;
+  EXPECT_FALSE(schedule.solved()) << label;
+  EXPECT_THROW((void)engine.route(pi, scratch), contract_violation) << label;
 
   const std::vector<Permutation> perms{pi};
   try {
     (void)engine.route_batch(perms, 1);
-    FAIL() << "route_batch returned an unproven delivery";
+    ADD_FAILURE() << label << ": route_batch returned an unproven delivery";
   } catch (const batch_route_error& e) {
-    EXPECT_EQ(e.index(), 0U);
-    EXPECT_THROW(std::rethrow_exception(e.cause()), contract_violation);
+    EXPECT_EQ(e.index(), 0U) << label;
+    EXPECT_THROW(std::rethrow_exception(e.cause()), contract_violation) << label;
   }
+}
+
+/// A column pass that leaves its LAST slice unexchanged: only the unshuffle
+/// moves it.  In solve that slice is the bit the next stage sorts.
+void column_pass_without_last_exchange(const std::uint64_t* in, std::size_t slices,
+                                       std::size_t nbits, const std::uint64_t* ctl,
+                                       std::size_t chunk_bits, std::uint64_t* tmp,
+                                       std::uint64_t* out) {
+  if (slices == 0) return;
+  const auto& real = kernels::active_kernels();
+  const std::size_t words = bitpack::words_for(nbits);
+  real.column_pass(in, slices - 1, nbits, ctl, chunk_bits, tmp, out);
+  const std::vector<std::uint64_t> no_exchange(bitpack::words_for(nbits / 2), 0);
+  real.column_pass(in + (slices - 1) * words, 1, nbits, no_exchange.data(), chunk_bits,
+                   tmp, out + (slices - 1) * words);
+}
+
+/// An address pack that swaps address bits 0 and 1 of line 0.
+void pack_swapping_two_address_bits(const std::uint32_t* image, std::size_t n, unsigned m,
+                                    std::uint64_t* slices) {
+  kernels::active_kernels().pack_address_slices(image, n, m, slices);
+  const std::size_t words = bitpack::words_for(n);
+  const std::uint64_t diff = (slices[0] ^ slices[words]) & 1U;
+  slices[0] ^= diff;
+  slices[words] ^= diff;
+}
+
+TEST(CompiledBnb, CleanPathRefusesADeliveryItCannotProve) {
+  // Three broken kernels, each caught by the per-BSN check.  A column pass
+  // that loses the moved address slices leaves the later stages sorting
+  // all-zero bits; one that skips the exchange on the next stage's sort
+  // slice leaves that stage blocks it cannot split evenly; a pack that
+  // swaps two address bits of one line hands the network two lines with
+  // the same address.  In each case some BSN output pair holds two equal
+  // bits, and no entry point may return the unproven delivery.
+  const unsigned m = 8;
+  Rng rng(0xB40C);
+  const Permutation pi = random_perm(std::size_t{1} << m, rng);
+  // The pack mutant changes line 0 only when its address bits 0 and 1
+  // differ; the swap then duplicates another line's address.
+  ASSERT_NE(pi(0) & 1U, (pi(0) >> 1) & 1U);
+
+  kernels::KernelSet loses_slices = kernels::active_kernels();
+  loses_slices.column_pass = [](const std::uint64_t*, std::size_t slices,
+                                std::size_t nbits, const std::uint64_t*, std::size_t,
+                                std::uint64_t*, std::uint64_t* out) {
+    std::fill(out, out + slices * bitpack::words_for(nbits), std::uint64_t{0});
+  };
+  expect_every_entry_point_refuses(loses_slices, m, pi, "column_pass zeroes its slices");
+
+  kernels::KernelSet skips_exchange = kernels::active_kernels();
+  skips_exchange.column_pass = &column_pass_without_last_exchange;
+  expect_every_entry_point_refuses(skips_exchange, m, pi,
+                                   "column_pass skips its last slice's exchange");
+
+  kernels::KernelSet swaps_bits = kernels::active_kernels();
+  swaps_bits.pack_address_slices = &pack_swapping_two_address_bits;
+  expect_every_entry_point_refuses(swaps_bits, m, pi, "pack swaps two address bits");
 }
 
 TEST(CompiledBnb, ScheduleIsTierInvariant) {

@@ -1,7 +1,8 @@
 // Kernel-equivalence suite: every kernel tier this build can run on this
 // host must be BIT-IDENTICAL to the scalar reference — on the raw packed
-// primitives over randomized zero-tail arrays (1..4096 bits), on the fused
-// slice_pass against its three-pass composition, and on full routes
+// primitives over randomized zero-tail arrays (1..4096 bits), on the
+// column pass against its three-pass composition, on the solve's
+// address-slice pack against the 64x64 transpose, and on full routes
 // (exhaustive for m <= 3, randomized up to m = 12), including with a
 // non-empty EngineFaults overlay and with ControlTrace capture.  A SIMD
 // lane bug that survives this file does not exist.
@@ -181,26 +182,96 @@ TEST(Kernels, MovementPassesMatchScalarOnRandomizedArrays) {
   }
 }
 
-TEST(Kernels, SlicePassMatchesItsThreePassComposition) {
+/// Column sizes for the column pass: every power of two up to 2^16, plus
+/// sizes whose word counts are not multiples of 8 or 16 (and two below one
+/// word), so every SIMD tier runs its vector loop AND its scalar tail.
+std::vector<std::size_t> column_sizes() {
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n *= 2) sizes.push_back(n);
+  for (std::size_t n : {48UL, 96UL, 192UL, 320UL, 384UL, 448UL, 704UL, 832UL, 1152UL,
+                        1216UL, 2176UL, 2304UL, 4608UL, 5632UL, 12288UL}) {
+    sizes.push_back(n);
+  }
+  return sizes;
+}
+
+TEST(Kernels, ColumnPassMatchesItsThreePassComposition) {
   Rng rng(0xC0DE03);
   const auto& ref = kernels::scalar_kernels();
-  for (std::size_t nbits = 2; nbits <= 4096; nbits *= 2) {
-    const auto in = random_packed(nbits, rng);
+  constexpr std::uint64_t kGuard = 0xA5A5A5A5DEADBEEFULL;
+  constexpr std::size_t kGuardWords = 17;
+  for (const std::size_t nbits : column_sizes()) {
     const std::size_t words = bitpack::words_for(nbits);
     const std::size_t half_words = bitpack::words_for(nbits / 2);
+    unsigned m = 0;
+    while ((std::size_t{1} << m) < nbits) ++m;
     const auto ctl = random_packed(nbits / 2, rng);
-    for (std::size_t chunk = 1; 2 * chunk <= nbits; chunk *= 2) {
-      // Reference: explicit compress -> masked exchange -> chunk_concat.
-      std::vector<std::uint64_t> e(half_words + 1), o(half_words + 1),
-          expect(words + 1), got(words + 1), tmp(words + 1);
-      ref.compress_even(in.data(), nbits, e.data());
-      ref.compress_odd(in.data(), nbits, o.data());
-      ref.masked_exchange(e.data(), o.data(), ctl.data(), half_words);
-      ref.chunk_concat(e.data(), o.data(), nbits / 2, chunk, expect.data());
-      for (const KernelSet* set : kernels::supported_kernel_sets()) {
-        set->slice_pass(in.data(), nbits, ctl.data(), chunk, tmp.data(), got.data());
-        ASSERT_TRUE(std::equal(got.begin(), got.begin() + words, expect.begin()))
-            << set->name << " slice_pass nbits=" << nbits << " chunk=" << chunk;
+    for (const std::size_t slices : {0UL, 1UL, 3UL, 2UL * m}) {
+      std::vector<std::uint64_t> in;
+      for (std::size_t s = 0; s < slices; ++s) {
+        const auto slice = random_packed(nbits, rng);
+        in.insert(in.end(), slice.begin(), slice.end());
+      }
+      for (std::size_t chunk = 1; nbits % (2 * chunk) == 0; chunk *= 2) {
+        // Reference, per slice: compress -> masked exchange -> chunk_concat.
+        std::vector<std::uint64_t> expect(slices * words);
+        std::vector<std::uint64_t> e(half_words), o(half_words);
+        for (std::size_t s = 0; s < slices; ++s) {
+          ref.compress_even(in.data() + s * words, nbits, e.data());
+          ref.compress_odd(in.data() + s * words, nbits, o.data());
+          ref.masked_exchange(e.data(), o.data(), ctl.data(), half_words);
+          ref.chunk_concat(e.data(), o.data(), nbits / 2, chunk,
+                           expect.data() + s * words);
+        }
+        for (const KernelSet* set : kernels::supported_kernel_sets()) {
+          std::vector<std::uint64_t> got(slices * words + kGuardWords, kGuard);
+          std::vector<std::uint64_t> tmp(words);
+          set->column_pass(in.data(), slices, nbits, ctl.data(), chunk, tmp.data(),
+                           got.data());
+          ASSERT_TRUE(std::equal(expect.begin(), expect.end(), got.begin()))
+              << set->name << " column_pass nbits=" << nbits << " chunk=" << chunk
+              << " slices=" << slices;
+          for (std::size_t w = slices * words; w < got.size(); ++w) {
+            ASSERT_EQ(got[w], kGuard) << set->name << " column_pass wrote word " << w
+                                      << " past its " << slices << " slices, nbits="
+                                      << nbits << " chunk=" << chunk;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, PackAddressSlicesMatchesTheTranspose) {
+  Rng rng(0xC0DE06);
+  constexpr std::uint64_t kGuard = 0x5A5A5A5ABADC0FFEULL;
+  constexpr std::size_t kGuardWords = 9;
+  for (unsigned m = 1; m <= 16; ++m) {
+    const std::size_t n = std::size_t{1} << m;
+    const std::size_t words = bitpack::words_for(n);
+    const Permutation pi = random_perm(n, rng);
+    const std::uint32_t* image = pi.image().data();
+    // Reference by definition: bit t of slice a's word b is bit a of line
+    // 64b + t, computed through the 64x64 transpose per block.
+    std::vector<std::uint64_t> expect(m * words, 0);
+    for (std::size_t b = 0; b < words; ++b) {
+      std::uint64_t blk[64] = {};
+      for (std::size_t t = 0; t < 64 && 64 * b + t < n; ++t) blk[t] = image[64 * b + t];
+      bitpack::transpose_64x64(blk);
+      for (unsigned a = 0; a < m; ++a) expect[a * words + b] = blk[a];
+    }
+    for (std::size_t line = 0; line < n; ++line) {
+      for (unsigned a = 0; a < m; ++a) {
+        ASSERT_EQ(bitpack::get_bit(expect.data() + a * words, line), (image[line] >> a) & 1U);
+      }
+    }
+    for (const KernelSet* set : kernels::supported_kernel_sets()) {
+      std::vector<std::uint64_t> got(m * words + kGuardWords, kGuard);
+      set->pack_address_slices(image, n, m, got.data());
+      ASSERT_TRUE(std::equal(expect.begin(), expect.end(), got.begin()))
+          << set->name << " pack_address_slices m=" << m;
+      for (std::size_t w = m * words; w < got.size(); ++w) {
+        ASSERT_EQ(got[w], kGuard) << set->name << " pack wrote word " << w << " m=" << m;
       }
     }
   }
