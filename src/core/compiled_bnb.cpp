@@ -18,11 +18,31 @@ namespace bnb {
 
 namespace {
 
-// Work-buffer layout for column_controls: even/odd halves (the switch
-// inputs, read back by the clean path's per-BSN check), the arbiter's up
-// and down level stacks (each level rounds up to whole words, hence the
-// +32-word slack for up to 25 levels), and two down-pass temporaries.
-constexpr std::size_t kLevelSlack = 32;
+// The fault path's packed overlays (column_controls) work on the upper
+// switch inputs in packed form and re-derive the line-domain controls from
+// the patched packed ones.  Off the clean path: plain magic-mask networks.
+
+/// The even bits of `x` compacted into the low half.
+std::uint64_t compress_even_bits(std::uint64_t x) {
+  x &= bitpack::kEvenBits;
+  x = (x | (x >> 1)) & 0x3333333333333333ULL;
+  x = (x | (x >> 2)) & 0x0F0F0F0F0F0F0F0FULL;
+  x = (x | (x >> 4)) & 0x00FF00FF00FF00FFULL;
+  x = (x | (x >> 8)) & 0x0000FFFF0000FFFFULL;
+  x = (x | (x >> 16)) & 0x00000000FFFFFFFFULL;
+  return x;
+}
+
+/// The low 32 bits of `x` spread to the even bits (compress_even_bits^-1).
+std::uint64_t spread_to_even_bits(std::uint64_t x) {
+  x &= 0x00000000FFFFFFFFULL;
+  x = (x | (x << 16)) & 0x0000FFFF0000FFFFULL;
+  x = (x | (x << 8)) & 0x00FF00FF00FF00FFULL;
+  x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  x = (x | (x << 2)) & 0x3333333333333333ULL;
+  x = (x | (x << 1)) & bitpack::kEvenBits;
+  return x;
+}
 
 // Loop-based Beneš routing of one bit permutation, for the small-N
 // flattening.  Any permutation of n = 2^m elements routes through 2m - 1
@@ -154,7 +174,6 @@ void RouteScratch::prepare(const CompiledBnb& plan) {
   const std::size_t q = 2 * static_cast<std::size_t>(m);
   slices_.assign(q * words, 0);
   spare_slices_.assign(q * words, 0);
-  slice_tmp_.assign(words, 0);
   outputs_.assign(n, Word{});
   dest_.assign(n, 0);
   schedule_.prepare(plan);
@@ -214,101 +233,48 @@ std::size_t CompiledBnb::control_words() const noexcept {
 }
 
 std::size_t CompiledBnb::work_words() const noexcept {
-  const std::size_t half = bitpack::words_for(inputs() / 2);
-  // e + o + ups + downs + two temporaries.  A level stack holds every tree
-  // level: the leaf level (half words) plus halving word counts below it
-  // (< half words total) plus one word for each level narrower than 64
-  // bits (≤ kLevelSlack of those for any m < 26) — 2*half + slack bounds it.
-  return 4 * half + 2 * (2 * half + kLevelSlack);
+  // The line-domain controls, the advanced bits before they are copied
+  // back, and the arbiter's word-parity levels.
+  const std::size_t words = bitpack::words_for(inputs());
+  return 2 * words + kernels::arbiter_work_words(inputs());
 }
 
-void CompiledBnb::column_controls(std::size_t column, std::uint64_t* bits,
-                                  std::uint64_t* ctl, std::uint64_t* work,
-                                  const ColumnFaultMasks* faults) const {
+const std::uint64_t* CompiledBnb::column_controls(std::size_t column, std::uint64_t* bits,
+                                                  std::uint64_t* ctl, std::uint64_t* work,
+                                                  const ColumnFaultMasks* faults) const {
   BNB_EXPECTS(column < columns_.size());
   BNB_EXPECTS(bits != nullptr && ctl != nullptr && work != nullptr);
   const Column& col = columns_[column];
   const std::size_t n = inputs();
-  const std::size_t pairs = n / 2;
-  const std::size_t half_words = bitpack::words_for(pairs);
-  const unsigned p = col.p;
-
-  const std::size_t stack_words = 2 * half_words + kLevelSlack;
-  std::uint64_t* e = work;
-  std::uint64_t* o = e + half_words;
-  std::uint64_t* ups = o + half_words;
-  std::uint64_t* downs = ups + stack_words;
-  std::uint64_t* tmp_a = downs + stack_words;
-  std::uint64_t* tmp_b = tmp_a + half_words;
+  const std::size_t words = bitpack::words_for(n);
+  const std::size_t half_words = control_words();
+  std::uint64_t* c2 = work;
+  std::uint64_t* moved = work + words;
 
   if (faults != nullptr && !faults->bit_flip.empty()) {
     // Broken bit-slice links into this column: arbiter and slice data both
     // see the inverted bit (the words — the other slices — do not).
-    const std::size_t words = bitpack::words_for(n);
     BNB_EXPECTS(faults->bit_flip.size() == words);
     ks_->xor_words(bits, faults->bit_flip.data(), words);
   }
 
-  ks_->compress_even(bits, n, e);
-  ks_->compress_odd(bits, n, o);
+  ks_->column_arbiter(bits, n, col.p, c2, ctl, moved + words);
 
-  if (p == 1) {
-    // sp(1) has no arbiter (A(1) is wiring): the upper input bit is the
-    // switch signal itself.
-    std::copy(e, e + half_words, ctl);
-  } else {
-    // Level l of the per-splitter arbiter trees, evaluated for all
-    // splitters of the column at once: leaves are level p-1 (one bit per
-    // switch), the per-splitter roots are level 0.
-    std::array<std::uint64_t*, 32> up_lvl{};
-    std::array<std::uint64_t*, 32> down_lvl{};
-    std::array<std::size_t, 32> size{};
-    size[p - 1] = pairs;
-    up_lvl[p - 1] = ups;
-    down_lvl[p - 1] = downs;
-    for (unsigned l = p - 1; l-- > 0;) {
-      size[l] = size[l + 1] / 2;
-      up_lvl[l] = up_lvl[l + 1] + bitpack::words_for(size[l + 1]);
-      down_lvl[l] = down_lvl[l + 1] + bitpack::words_for(size[l + 1]);
-    }
-
-    // Up pass: z_u = XOR of the two child signals.
-    for (std::size_t w = 0; w < half_words; ++w) up_lvl[p - 1][w] = e[w] ^ o[w];
-    for (unsigned l = p - 1; l-- > 0;) {
-      ks_->pair_xor_compress(up_lvl[l + 1], size[l + 1], up_lvl[l]);
-    }
-
-    // Down pass: each root echoes its own up signal; a node with z_u = 0
-    // generates flags (0 up, 1 down), a node with z_u = 1 forwards its
-    // parent flag: child flags = (u & d, d | ~u) interleaved.
-    std::copy(up_lvl[0], up_lvl[0] + bitpack::words_for(size[0]), down_lvl[0]);
-    for (unsigned l = 0; l + 1 < p; ++l) {
-      const std::size_t lw = bitpack::words_for(size[l]);
-      for (std::size_t w = 0; w < lw; ++w) {
-        tmp_a[w] = up_lvl[l][w] & down_lvl[l][w];
-        tmp_b[w] = down_lvl[l][w] | ~up_lvl[l][w];
-      }
-      ks_->interleave_bits(tmp_a, tmp_b, size[l], down_lvl[l + 1]);
-    }
-
-    // Switch setting = s^I(2t) XOR f(2t); the flag of an even input is
-    // z_u AND z_d of its leaf node.
-    for (std::size_t w = 0; w < half_words; ++w) {
-      ctl[w] = e[w] ^ (up_lvl[p - 1][w] & down_lvl[p - 1][w]);
-    }
-  }
-
-  if (faults != nullptr) {
+  if (faults != nullptr && (!faults->flag_mask.empty() || !faults->ctl_and.empty())) {
     // Stuck flag wires first (the switch then computes e XOR v there), then
     // stuck setting signals — the control is the last wire before the
-    // switch, so it overrides everything upstream.
+    // switch, so it overrides everything upstream.  Both patch the packed
+    // controls; the line-domain ones are re-derived from them.
     if (!faults->flag_mask.empty()) {
-      BNB_EXPECTS(p >= 2);  // sp(1) has no arbiter flags to freeze
+      BNB_EXPECTS(col.p >= 2);  // sp(1) has no arbiter flags to freeze
       BNB_EXPECTS(faults->flag_mask.size() == half_words &&
                   faults->flag_val.size() == half_words);
       for (std::size_t w = 0; w < half_words; ++w) {
+        const std::uint64_t hi = 2 * w + 1 < words ? bits[2 * w + 1] : 0;
+        const std::uint64_t e =
+            compress_even_bits(bits[2 * w]) | (compress_even_bits(hi) << 32);
         ctl[w] = (ctl[w] & ~faults->flag_mask[w]) |
-                 ((e[w] ^ faults->flag_val[w]) & faults->flag_mask[w]);
+                 ((e ^ faults->flag_val[w]) & faults->flag_mask[w]);
       }
     }
     if (!faults->ctl_and.empty()) {
@@ -318,15 +284,18 @@ void CompiledBnb::column_controls(std::size_t column, std::uint64_t* bits,
         ctl[w] = (ctl[w] & faults->ctl_and[w]) | faults->ctl_or[w];
       }
     }
+    for (std::size_t w = 0; w < words; ++w) {
+      c2[w] = spread_to_even_bits(ctl[w >> 1] >> (32 * (w & 1)));
+    }
   }
 
   if (col.update_bits) {
     // Advance the packed bits through the switch column and the U_p^k
-    // unshuffle in one step: exchanged pairs swap their even/odd halves,
-    // then even outputs fill each splitter's upper half, odd its lower.
-    ks_->masked_exchange(e, o, ctl, half_words);
-    ks_->chunk_concat(e, o, pairs, col.group / 2, bits);
+    // unshuffle: the column pass on this one slice.
+    ks_->column_pass(bits, 1, n, c2, ctl, col.group / 2, moved);
+    std::copy(moved, moved + words, bits);
   }
+  return c2;
 }
 
 const std::uint64_t* CompiledBnb::route_lines(RouteScratch& s, ControlTrace* trace,
@@ -383,7 +352,6 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
   const unsigned q = 2 * m_;  // m address slices, then m input-index slices
   std::uint64_t* sl = s.slices_.data();
   std::uint64_t* sp = s.spare_slices_.data();
-  std::uint64_t* tmp = s.slice_tmp_.data();
 
   // Fill: one 64x64 bit-matrix transpose per block of 64 lines turns the
   // line-major state words into the q packed slices.  Slice b of the block
@@ -416,7 +384,8 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
       const ColumnFaultMasks* fcol =
           faults != nullptr ? faults->column(col_idx) : nullptr;
       std::uint64_t* ctl = s.ctl_.data();
-      column_controls(col_idx, s.bits_.data(), ctl, s.work_.data(), fcol);
+      const std::uint64_t* c2 =
+          column_controls(col_idx, s.bits_.data(), ctl, s.work_.data(), fcol);
       if (trace != nullptr) {
         trace->column_controls.emplace_back(
             ctl, ctl + static_cast<std::ptrdiff_t>(control_words()));
@@ -433,7 +402,7 @@ const std::uint64_t* CompiledBnb::route_sliced(RouteScratch& s, ControlTrace* tr
       // The column pass — switch exchange under ctl plus the `group`-line
       // unshuffle — applied to every slice with the SAME control masks:
       // O(q * N/64) masked word ops instead of O(N) moves.
-      ks_->column_pass(sl, q, n, ctl, col.group / 2, tmp, sp);
+      ks_->column_pass(sl, q, n, c2, ctl, col.group / 2, sp);
       std::swap(sl, sp);
     }
   }
@@ -488,12 +457,11 @@ void CompiledBnb::solve_controls(const Permutation& pi, RouteScratch& s,
                                  ControlSchedule& schedule) const {
   const std::size_t n = inputs();
   const std::size_t W = s.words_;
-  const std::size_t pairs = n / 2;
-  const std::size_t half_words = bitpack::words_for(pairs);
   const std::uint32_t* image = pi.image().data();
   std::uint64_t* sl = s.slices_.data();
   std::uint64_t* sp = s.spare_slices_.data();
-  std::uint64_t* tmp = s.slice_tmp_.data();
+  std::uint64_t* c2 = s.work_.data();
+  std::uint64_t* arbiter_work = c2 + W;
   schedule.prepare(*this);  // also re-shapes a slot a cache copy-out resized
 
   // Pack the m address slices straight from pi: slice a holds address bit
@@ -502,28 +470,28 @@ void CompiledBnb::solve_controls(const Permutation& pi, RouteScratch& s,
 
   std::size_t col_idx = 0;
   for (unsigned stage = 0; stage < m_; ++stage) {
-    // The stage sorts integer bit m-1-stage.  No later stage reads that
-    // slice, so the arbiter advances it in place, and only the slices
-    // below it (the bits later stages sort) follow the switches.
+    // The stage sorts integer bit m-1-stage.  The column pass moves that
+    // slice together with the slices below it (the bits later stages
+    // sort); no later stage reads it, so the BSN's last column leaves it.
     const unsigned addr_bit = m_ - 1 - stage;
-    std::uint64_t* bits = sl + addr_bit * W;
     const unsigned k = m_ - stage;
     for (unsigned j = 0; j < k; ++j, ++col_idx) {
+      const Column& col = columns_[col_idx];
+      const std::uint64_t* x = sl + addr_bit * W;
       std::uint64_t* ctl = schedule.ctl_.data() + col_idx * schedule.control_words_;
-      column_controls(col_idx, bits, ctl, s.work_.data());
-      // Slices 0..addr_bit-1 follow the switches; the pass writes nothing
-      // past them, so `bits` survives even when it lives in sp.
-      ks_->column_pass(sl, addr_bit, n, ctl, columns_[col_idx].group / 2, tmp, sp);
+      ks_->column_arbiter(x, n, col.p, c2, ctl, arbiter_work);
+      if (!col.update_bits) {
+        // The BSN's last column is sp(1).  Every switch pair must hold one
+        // 0 and one 1: the switch then sends the 0 to the even output, the
+        // main unshuffle sorts the block by this bit, and later columns
+        // stay inside blocks of 2^addr_bit lines (constructor check) — so
+        // bit addr_bit of the word on line l is bit addr_bit of l.
+        BNB_ENSURES(bitpack::pairs_split(x, n));
+      }
+      ks_->column_pass(sl, col.update_bits ? addr_bit + 1 : addr_bit, n, c2, ctl,
+                       col.group / 2, sp);
       std::swap(sl, sp);
     }
-    // The BSN's last column is sp(1), whose switch inputs column_controls
-    // left at the front of the work buffer.  Every pair must hold one 0
-    // and one 1: the switch then sends the 0 to the even output, the main
-    // unshuffle sorts the block by this bit, and later columns stay inside
-    // blocks of 2^addr_bit lines (constructor check) — so bit addr_bit of
-    // the word on line l is bit addr_bit of l.
-    const std::uint64_t* e = s.work_.data();
-    BNB_ENSURES(bitpack::pairs_split(e, e + half_words, pairs));
   }
   // All m bits of every line's address equal the line number: input j,
   // the only word addressed pi(j), sits on line pi(j).

@@ -8,8 +8,9 @@
 //
 //   * one address bit per line, packed 64 lines per uint64_t;
 //   * the tree arbiter of every splitter of a column evaluated word-
-//     parallel (compress/interleave passes over packed words), emitting the
-//     switch controls of the whole column as mask words;
+//     parallel as a prefix network on the packed line bits (one
+//     column_arbiter kernel call), emitting the switch controls of the
+//     whole column as mask words;
 //   * a single fused pass per column that applies the switch exchanges and
 //     the following unshuffle wiring to the line state;
 //   * a caller-owned RouteScratch so the steady state performs ZERO heap
@@ -36,11 +37,13 @@
 // The clean fabric has its own controls-only path, behind solve() and the
 // clean branch of route().  It packs just the m address slices straight
 // from pi (one transpose per 64-line block) and, in main stage s, moves
-// only the address slices later stages still sort: (m-1)m(m+1)/3 slice
-// passes per solve instead of the fused path's m^2(m+1) (910 vs 2940 at
-// m = 14).  Delivery is proven per route, not assumed: at every BSN's last
-// column sp(1) each switch pair must hold one 0 and one 1 of the stage's
-// address bit (bitpack::pairs_split), and every later column permutes
+// only the stage's own address slice through its BSN and the slices later
+// stages still sort: (m-1)m(m+1)/3 + m(m-1)/2 slice passes per solve
+// instead of the fused path's m^2(m+1) (1001 vs 2940 at m = 14), one
+// column_pass call per column.  Delivery is proven per route, not assumed:
+// at every BSN's last column sp(1) each switch pair must hold one 0 and one
+// 1 of the stage's address bit (bitpack::pairs_split on the line bits), and
+// every later column permutes
 // lines only inside blocks of at most 2^(m-1-s) lines (checked once at plan
 // construction), so bit s of the word on line l equals bit s of l.  Once
 // all m checks pass, the word with address pi(j) — input j's, pi being a
@@ -182,12 +185,12 @@ class RouteScratch {
   std::vector<std::uint64_t> spare_;   ///< double buffer for state_
   std::vector<std::uint64_t> bits_;    ///< packed current address bit per line
   std::vector<std::uint64_t> ctl_;     ///< packed controls of the current column
-  std::vector<std::uint64_t> work_;    ///< arbiter up/down levels + temporaries
+  std::vector<std::uint64_t> work_;    ///< column_controls' work: line-domain
+                                       ///< controls, arbiter parity levels
   std::vector<std::uint64_t> slices_;  ///< q = 2m bit-slices, slice s at
                                        ///< [s * words_, ...); the clean
                                        ///< control path uses the first m
   std::vector<std::uint64_t> spare_slices_;  ///< double buffer for slices_
-  std::vector<std::uint64_t> slice_tmp_;     ///< column_pass spread controls
   std::vector<Word> outputs_;
   std::vector<std::uint32_t> dest_;
   ControlSchedule schedule_;  ///< the clean route() solves into here
@@ -408,7 +411,10 @@ class CompiledBnb {
   /// Compute the packed switch controls of `column` from the packed address
   /// bits, and advance `bits` through the column's switches and its
   /// intra-BSN unshuffle (no-op for a BSN's last column).  `work` must hold
-  /// work_words() words; `ctl` control_words().  Allocation-free.
+  /// work_words() words; `ctl` control_words().  Allocation-free.  Returns
+  /// the same controls in the line domain (control t at bit 2t, the form
+  /// kernels::KernelSet::column_pass takes), held in `work` until its next
+  /// use.
   ///
   /// A non-null `faults` patches this column: incoming packed bits are
   /// XORed with bit_flip, stuck flag wires replace f(2t) (ctl bit becomes
@@ -416,9 +422,9 @@ class CompiledBnb {
   /// settings also steer the column's own bit-slice update, exactly as the
   /// broadcast hardware would.  (Dead crosspoints are word-path faults;
   /// apply them with visit_dead_crosspoint_hits before moving the lines.)
-  void column_controls(std::size_t column, std::uint64_t* bits, std::uint64_t* ctl,
-                       std::uint64_t* work,
-                       const ColumnFaultMasks* faults = nullptr) const;
+  const std::uint64_t* column_controls(std::size_t column, std::uint64_t* bits,
+                                       std::uint64_t* ctl, std::uint64_t* work,
+                                       const ColumnFaultMasks* faults = nullptr) const;
 
   /// Corrupt every line whose word crosses a dead crosspoint of `column`
   /// under the packed settings `ctl`: per hit, fn(line) is invoked so the

@@ -138,6 +138,16 @@ const char* tier_name(Tier tier) noexcept {
   return "unknown";
 }
 
+std::size_t arbiter_work_words(std::size_t nbits) noexcept {
+  // Each level above the line words holds one parity bit per word of the
+  // level below, plus the flags sent back down to those words.
+  std::size_t total = 0;
+  for (std::size_t count = (nbits + 63) / 64; count > 1; count = (count + 63) / 64) {
+    total += 2 * ((count + 63) / 64);
+  }
+  return total;
+}
+
 const KernelSet& scalar_kernels() noexcept { return detail::kScalarSet; }
 
 const KernelSet& wide_kernels() noexcept { return detail::kWideSet; }

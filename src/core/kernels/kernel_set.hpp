@@ -1,13 +1,11 @@
 // Runtime-dispatched kernel layer for the compiled routing engine.
 //
-// Every hot word-parallel pass of CompiledBnb — the arbiter's compress and
-// interleave passes, the masked switch exchange, the unshuffle wiring, the
+// Every hot word-parallel pass of CompiledBnb — the column arbiter, the
 // bit-slice column pass and the solve's address-slice pack — is reached
 // through a KernelSet of function pointers.  One set per implementation tier:
 //
-//   scalar   portable 64-bit words (PEXT/PDEP when compiled with BMI2) over
-//            the PER-LINE datapath — bit-identical to the pre-kernel engine
-//            and the reference every other tier is tested against;
+//   scalar   portable 64-bit words over the PER-LINE datapath — the
+//            reference every other tier is tested against;
 //   wide     the same scalar kernels driving the BIT-SLICED wide datapath
 //            (all q = 2m address+index slices moved as packed words) — the
 //            portable reference for the SIMD tiers' datapath;
@@ -24,10 +22,13 @@
 // does exactly that via the explicit-set constructor).
 //
 // Contract shared by every implementation of a pass (and enforced
-// bit-for-bit by tests/test_kernels.cpp against core/bit_pack.hpp):
-// little-endian bit order (bit t of word w is line 64*w + t) and the
-// zero-tail invariant — bits at positions >= the logical size are zero on
-// input and on output, so passes chain without masking.
+// bit-for-bit by tests/test_kernels.cpp): little-endian bit order (bit t of
+// word w is line 64*w + t) and the zero-tail invariant — bits at positions
+// >= the logical size are zero on input and on output, so passes chain
+// without masking.  A column's controls come in two forms: LINE-DOMAIN
+// (control t at bit 2t, odd bits zero; `c2`, words_for(nbits) words) and
+// PACKED (control t at bit t; `ctl`, words_for(nbits/2) words, the
+// ControlSchedule / ControlTrace layout).
 #pragma once
 
 #include <cstddef>
@@ -50,44 +51,43 @@ struct KernelSet {
   Tier tier;
   bool wide_datapath;  ///< true: CompiledBnb routes bit-sliced; false: per-line
 
-  /// out[j] = in[2j] for j < nbits/2.
-  void (*compress_even)(const std::uint64_t* in, std::size_t nbits,
-                        std::uint64_t* out);
-  /// out[j] = in[2j+1] for j < nbits/2.
-  void (*compress_odd)(const std::uint64_t* in, std::size_t nbits,
-                       std::uint64_t* out);
-  /// out[j] = in[2j] ^ in[2j+1]: one arbiter up-pass level.
-  void (*pair_xor_compress)(const std::uint64_t* in, std::size_t nbits,
-                            std::uint64_t* out);
-  /// out[2j] = a[j], out[2j+1] = b[j]: one arbiter down-pass level.
-  void (*interleave_bits)(const std::uint64_t* a, const std::uint64_t* b,
-                          std::size_t nbits_each, std::uint64_t* out);
-  /// Unshuffle wiring: output group g (2*chunk_bits lines) = even's chunk g
-  /// then odd's chunk g.  chunk_bits is a power of two.
-  void (*chunk_concat)(const std::uint64_t* even, const std::uint64_t* odd,
-                       std::size_t nbits_each, std::size_t chunk_bits,
-                       std::uint64_t* out);
-  /// Switch exchange on compressed halves: t = (e^o) & ctl; e ^= t; o ^= t.
-  void (*masked_exchange)(std::uint64_t* e, std::uint64_t* o,
-                          const std::uint64_t* ctl, std::size_t words);
+  /// The switch controls of one splitter column, computed by the paper's
+  /// arbiter trees A(p) of every sp(p) splitter in it at once.  `x` holds
+  /// the column's input bit per line (nbits lines, nbits a power of two
+  /// and a multiple of 2^p; zero tail).  Writes the controls in both
+  /// forms: line-domain `c2` and packed `ctl` (see above).  For p = 1
+  /// there is no arbiter: control t is the upper input bit x[2t].
+  /// Otherwise each tree runs as a prefix network on the line bits, every
+  /// node's signals broadcast to all leaves below it: leaf up signal
+  /// u = (x ^ x >> 1) & even lines, up levels U' = the XOR of a node's two
+  /// children, the root's flag D = U, down levels D' = odd child ?
+  /// (D | ~U) : (D & U), and control t = x[2t] ^ (u & D) at the leaf.
+  /// Splitters wider than 64 lines first fold each word to its parity and
+  /// run the levels above a word on that parity vector.  `work` provides
+  /// arbiter_work_words(nbits) words.  `x`, `c2`, `ctl` and `work` must not
+  /// alias.
+  void (*column_arbiter)(const std::uint64_t* x, std::size_t nbits, unsigned p,
+                         std::uint64_t* c2, std::uint64_t* ctl, std::uint64_t* work);
   /// dst[w] ^= src[w] (fault bit-flip overlays).
   void (*xor_words)(std::uint64_t* dst, const std::uint64_t* src,
                     std::size_t words);
   /// One splitter column applied to `slices` packed slices with the SAME
   /// controls: slice s of `in` (words [s*W, (s+1)*W), W = words_for(nbits))
-  /// goes through the switch exchange under `ctl` (nbits/2 control bits)
-  /// and the chunk_bits unshuffle into slice s of `out`, i.e. exactly
-  ///   compress_even / compress_odd -> masked_exchange -> chunk_concat
-  /// per slice.  Requires nbits a multiple of 2*chunk_bits (every
-  /// CompiledBnb column satisfies this: group divides N).  Writes exactly
-  /// slices*W words of `out` and nothing past them; the output keeps the
-  /// zero tail of the input.  `tmp` provides W words of scratch: chunks of
-  /// up to 32 bits stage the controls there, spread to the line domain
-  /// (control bit t at line bit 2t), once per call.  `in`, `out`, `ctl`
-  /// and `tmp` must not alias.  slices == 0 touches nothing.
+  /// goes through the switch exchange (pair t swaps lines 2t and 2t+1 when
+  /// control t is set) and the chunk_bits unshuffle (output group g of
+  /// 2*chunk_bits lines = the even outputs' chunk g, then the odd outputs'
+  /// chunk g) into slice s of `out`.  `c2` and `ctl` are the column's
+  /// controls in line-domain and packed form (column_arbiter writes both):
+  /// chunks of up to 32 bits exchange each slice word in the line domain
+  /// under c2, whole-word chunks exchange packed even/odd run words under
+  /// ctl.  Requires nbits a multiple of 2*chunk_bits (every CompiledBnb
+  /// column satisfies this: group divides N).  Writes exactly slices*W
+  /// words of `out` and nothing past them; the output keeps the zero tail
+  /// of the input.  `out` must not alias `in`, `c2` or `ctl`.  slices == 0
+  /// touches nothing.
   void (*column_pass)(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
-                      const std::uint64_t* ctl, std::size_t chunk_bits,
-                      std::uint64_t* tmp, std::uint64_t* out);
+                      const std::uint64_t* c2, const std::uint64_t* ctl,
+                      std::size_t chunk_bits, std::uint64_t* out);
   /// Address-slice pack for the controls-only solve: slice a (words
   /// [a*W, (a+1)*W), W = words_for(n)) gets bit a of image[j] at line j,
   /// for a < m (m <= 32).  Lines past n pack as zero (zero tail); image
@@ -106,6 +106,10 @@ struct KernelSet {
   void (*small_apply8)(const std::uint64_t* masks, const std::uint8_t* deltas,
                        std::size_t depth, std::uint64_t* lanes);
 };
+
+/// Words of `work` column_arbiter needs for an nbits-line column: a word
+/// parity vector and its flags for every level of 64-fold reduction.
+[[nodiscard]] std::size_t arbiter_work_words(std::size_t nbits) noexcept;
 
 /// The portable per-line reference set (always available, every host).
 [[nodiscard]] const KernelSet& scalar_kernels() noexcept;

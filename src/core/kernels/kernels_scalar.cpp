@@ -1,5 +1,4 @@
-// Scalar kernel tier: the portable 64-bit reference implementations from
-// core/bit_pack.hpp (single PEXT instructions when compiled with BMI2),
+// Scalar kernel tier: the portable 64-bit word loops of scalar_core.hpp,
 // exported twice — as the `scalar` set that keeps the engine's original
 // per-line datapath, and as the `wide` set that drives the bit-sliced wide
 // datapath with the identical word arithmetic.  Every SIMD tier is tested
@@ -11,50 +10,36 @@
 namespace bnb::kernels {
 namespace {
 
-void compress_even_k(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) {
-  bitpack::compress_even(in, nbits, out);
-}
-
-void compress_odd_k(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) {
-  bitpack::compress_odd(in, nbits, out);
-}
-
-void pair_xor_compress_k(const std::uint64_t* in, std::size_t nbits, std::uint64_t* out) {
-  bitpack::pair_xor_compress(in, nbits, out);
-}
-
-void interleave_bits_k(const std::uint64_t* a, const std::uint64_t* b,
-                       std::size_t nbits_each, std::uint64_t* out) {
-  bitpack::interleave_bits(a, b, nbits_each, out);
-}
-
-void chunk_concat_k(const std::uint64_t* even, const std::uint64_t* odd,
-                    std::size_t nbits_each, std::size_t chunk_bits,
-                    std::uint64_t* out) {
-  bitpack::chunk_concat(even, odd, nbits_each, chunk_bits, out);
-}
-
-void masked_exchange_k(std::uint64_t* e, std::uint64_t* o, const std::uint64_t* ctl,
-                       std::size_t words) {
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t t = (e[w] ^ o[w]) & ctl[w];
-    e[w] ^= t;
-    o[w] ^= t;
-  }
+// Column arbiter: every word runs its tree levels in its register, wide
+// splitters on the shared word-parity levels; then one compress packs the
+// controls.
+void column_arbiter_k(const std::uint64_t* x, std::size_t nbits, unsigned p,
+                      std::uint64_t* c2, std::uint64_t* ctl, std::uint64_t* work) {
+  const std::size_t words = bitpack::words_for(nbits);
+  detail::column_arbiter_levels(
+      x, nbits, p, work,
+      [](const std::uint64_t* in, std::size_t count, std::uint64_t* par) {
+        detail::pack_word_parities_scalar(in, 0, count, par);
+      },
+      [&](auto top, const std::uint64_t* d_above) {
+        detail::arbiter_line_words_scalar<top>(x, d_above, 0, words, c2);
+      });
+  detail::compress_controls_scalar(c2, words, 0, bitpack::words_for(nbits / 2), ctl);
 }
 
 void xor_words_k(std::uint64_t* dst, const std::uint64_t* src, std::size_t words) {
   for (std::size_t w = 0; w < words; ++w) dst[w] ^= src[w];
 }
 
-// Column pass over `slices` packed slices.  Chunks of a word or less: the
-// controls are spread into the line domain once, then every slice word is
-// exchanged and unshuffled by delta swaps in its register.  Whole-word
-// chunks: each word pair compresses to its even and odd run words.  The
-// loops live in scalar_core.hpp because the SIMD tiers reuse them for tails.
+// Column pass over `slices` packed slices.  Chunks of a word or less: every
+// slice word is exchanged under the line-domain controls and unshuffled by
+// delta swaps in its register.  Whole-word chunks: each word pair
+// compresses to its even and odd run words, which exchange under the packed
+// controls.  The loops live in scalar_core.hpp because the SIMD tiers reuse
+// them for tails.
 void column_pass_k(const std::uint64_t* in, std::size_t slices, std::size_t nbits,
-                   const std::uint64_t* ctl, std::size_t chunk_bits, std::uint64_t* tmp,
-                   std::uint64_t* out) {
+                   const std::uint64_t* c2, const std::uint64_t* ctl,
+                   std::size_t chunk_bits, std::uint64_t* out) {
   const std::size_t words = bitpack::words_for(nbits);
   if (chunk_bits >= 64) {
     // nbits % (2 * chunk_bits) == 0 makes every run whole.
@@ -64,11 +49,9 @@ void column_pass_k(const std::uint64_t* in, std::size_t slices, std::size_t nbit
     }
     return;
   }
-  if (slices == 0) return;
-  detail::spread_controls_scalar(ctl, 0, words, tmp);
   detail::with_unshuffle_swaps(chunk_bits, [&](auto swaps) {
     for (std::size_t s = 0; s < slices; ++s) {
-      detail::column_words_scalar<swaps>(in + s * words, tmp, 0, words, out + s * words);
+      detail::column_words_scalar<swaps>(in + s * words, c2, 0, words, out + s * words);
     }
   });
 }
@@ -98,12 +81,7 @@ constexpr KernelSet make_set(const char* name, Tier tier, bool wide) {
   return KernelSet{name,
                    tier,
                    wide,
-                   &compress_even_k,
-                   &compress_odd_k,
-                   &pair_xor_compress_k,
-                   &interleave_bits_k,
-                   &chunk_concat_k,
-                   &masked_exchange_k,
+                   &column_arbiter_k,
                    &xor_words_k,
                    &column_pass_k,
                    &pack_address_slices_k,
